@@ -6,15 +6,13 @@
 //
 // Every kScalarOrder row is cross-checked bit-identical against the scalar
 // run before timing (the sharded determinism contract), so the ratio
-// compares two executions of the same computation.  The jump()-partitioned
-// opt-in mode (impl suffix "-jump") is only verified for MIS validity: it
-// trades scalar identity for fully parallel rng draws (see
-// sim/sharded.hpp).  The statistical rows (mode "statistical") have no
-// scalar twin by design: every lane is validity-checked before timing,
-// the k = 1 sharded-batched run is additionally cross-checked
-// bit-identical to the batched statistical run (the engine-unification
-// oracle), and their speedup column is *per-trial* — scalar wall time
-// times the lane count over the batch wall time.
+// compares two executions of the same computation.  The statistical rows
+// (mode "statistical") have no scalar twin by design: every lane is
+// validity-checked before timing, the k = 1 sharded-batched run is
+// additionally cross-checked bit-identical to the batched statistical run
+// (the engine-unification oracle), and their speedup column is
+// *per-trial* — scalar wall time times the lane count over the batch wall
+// time.
 //
 // Speedups depend on the machine: the per-run worker pool has one thread
 // per shard, so rows report hardware_threads in the header — on a 1-core
@@ -212,30 +210,6 @@ int main(int argc, char** argv) {
       partition_stats(sharded_sim.partition(), cut, boundary);
       record(workload, "sharded-k" + std::to_string(k), "scalar-order", k, 1, ms,
              scalar_ms / ms, cut, boundary, phase);
-    }
-
-    // jump()-partitioned streams: no scalar identity (validity-checked
-    // instead), no serial rng carving.  Reliable channel only.
-    if (config.beep_loss_probability == 0.0) {
-      const unsigned k = shard_counts.back();
-      sim::ShardedSimulator jump_sim(g, k, config,
-                                     sim::ShardedSimulator::RngMode::kPartitionedStreams);
-      mis::LocalFeedbackMis protocol;
-      const sim::RunResult result =
-          jump_sim.run(protocol, support::Xoshiro256StarStar(seed));
-      const mis::VerificationReport report = mis::verify_mis_run(g, result);
-      if (config.run_until_round == 0 && (!result.terminated || !report.valid())) {
-        std::cerr << "FATAL: partitioned-stream run invalid (" << workload << ": "
-                  << report.summary() << ")\n";
-        return 1;
-      }
-      const double ms = timed(reps, phase, [&] {
-        (void)jump_sim.run(protocol, support::Xoshiro256StarStar(seed));
-      });
-      std::size_t cut = 0, boundary = 0;
-      partition_stats(jump_sim.partition(), cut, boundary);
-      record(workload, "sharded-k" + std::to_string(k) + "-jump", "scalar-order", k, 1,
-             ms, scalar_ms / ms, cut, boundary, phase);
     }
 
     // Sharded × batched: 64 statistical lanes per run, swept by K shards.

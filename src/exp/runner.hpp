@@ -14,6 +14,7 @@
 #include "graph/graph.hpp"
 #include "sim/beep.hpp"
 #include "sim/local.hpp"
+#include "sim/scenario.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -255,7 +256,61 @@ struct TrialStats {
 [[nodiscard]] std::size_t checkpoint_chunk_count(std::size_t trials,
                                                  std::size_t checkpoint_interval);
 
-/// Runs `config.trials` beeping-model trials.
+/// The engine a beeping sweep runs on.  The scalar and sharded paths run
+/// a per-trial loop; the batched paths run a per-batch loop of 64-lane
+/// batches.
+enum class ExecutionPath : std::uint8_t {
+  kScalar,          ///< BeepSimulator per trial
+  kSharded,         ///< ShardedSimulator per trial (scalar draw order)
+  kBatched,         ///< BatchSimulator per batch
+  kShardedBatched,  ///< one ShardedBatchSimulator per batch (statistical lanes)
+};
+
+/// What one probe instance of the protocol factory declares.
+struct ProtocolProbe {
+  bool shard_support = false;  ///< BeepProtocol::shard_support().supported
+  bool batch_kernel = false;   ///< make_batch_protocol(config.rng_mode) != nullptr
+};
+
+/// A fault scenario that runs live through the scalar event driver: any
+/// scenario except a kStaticSchedule one that run_beep_trials folded into
+/// SimConfig::crash_round.
+struct LiveScenario {
+  sim::ScenarioKind kind = sim::ScenarioKind::kAdaptive;
+  std::string name;
+};
+
+/// plan_execution's answer: which engine runs the sweep, how wide, with
+/// which draw order, and why the fast paths were refused.
+struct ExecutionPlan {
+  ExecutionPath path = ExecutionPath::kScalar;
+  /// Shard count of the sharded paths; 1 otherwise.
+  unsigned shards = 1;
+  /// Worker threads of the outer trial or batch loop: 1 on the sharded
+  /// paths, whose every run already uses `shards` threads.
+  unsigned workers = 1;
+  /// The draw order the sweep's numbers come from: kStatisticalLanes only
+  /// on a batched path of a kStatisticalLanes config, kScalarOrder on every
+  /// other route.
+  sim::BatchRngMode rng_mode = sim::BatchRngMode::kScalarOrder;
+  /// Why the fast paths were refused (TrialStats::scalar_fallback_reason);
+  /// empty unless a live scenario or recovery tracking forced the scalar
+  /// simulator.
+  std::string reason;
+};
+
+/// The routing decision of run_beep_trials, as a pure function of the
+/// config, the node count of trial 0's graph (0 when it is not built up
+/// front: per-trial graphs with more than one trial), one protocol probe
+/// and the live scenario (nullptr when none runs).  Its rules are the
+/// routing table in src/sim/README.md; tests/test_runner.cpp's plan table
+/// pins each of them.
+[[nodiscard]] ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes,
+                                           const ProtocolProbe& protocol,
+                                           const LiveScenario* scenario);
+
+/// Runs `config.trials` beeping-model trials on the route plan_execution
+/// picks.
 [[nodiscard]] TrialStats run_beep_trials(const GraphFactory& graphs,
                                          const BeepProtocolFactory& protocols,
                                          const TrialConfig& config);

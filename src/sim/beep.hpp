@@ -234,10 +234,9 @@ class BeepContext {
 
 class BatchProtocol;
 
-/// Draw-entropy policy of the batched (64-lane) simulator — the lane-sweep
-/// analogue of ShardedSimulator::RngMode.  Defined here (not batch.hpp) so
-/// BeepProtocol::make_batch_protocol can take it without a circular
-/// include.
+/// Draw-entropy policy of the batched (64-lane) simulators.  Defined here
+/// (not batch.hpp) so BeepProtocol::make_batch_protocol can take it without
+/// a circular include.
 enum class BatchRngMode {
   /// Lane l consumes its own per-trial RNG in exactly the scalar draw
   /// order, so every lane is bit-identical to a scalar BeepSimulator run

@@ -73,8 +73,8 @@ struct ScenarioView {
 };
 
 /// How much of the run a scenario observes — the property the trial
-/// harness keys its fast-path routing on (see harness::run_beep_trials and
-/// the fast-path matrix in src/sim/README.md).
+/// harness keys its fast-path routing on (see harness::plan_execution and
+/// the routing table in src/sim/README.md).
 enum class ScenarioKind : std::uint8_t {
   /// A function of (graph, config) alone, expressible as crash_round
   /// vectors via materialize_crash_rounds().  The harness folds it into

@@ -152,6 +152,172 @@ TEST(Runner, SingleTrialWorks) {
   EXPECT_EQ(stats.rounds.count(), 1u);
 }
 
+// --- plan_execution: the routing table ------------------------------------
+// The source of truth for which engine a beeping sweep runs on
+// (src/sim/README.md, "Routing").  Each row is a config, the node count of
+// trial 0's graph, the protocol probe and the live scenario, and the plan
+// they must produce.
+
+TrialConfig shared_sweep() {
+  TrialConfig config;
+  config.trials = 256;
+  config.threads = 4;
+  config.shared_graph = true;
+  return config;
+}
+
+template <typename Tweak>
+TrialConfig sweep_with(Tweak tweak) {
+  TrialConfig config = shared_sweep();
+  tweak(config);
+  return config;
+}
+
+void statistical(TrialConfig& c) { c.rng_mode = sim::BatchRngMode::kStatisticalLanes; }
+
+void lossy_tail(TrialConfig& c) {
+  c.sim.beep_loss_probability = 0.1;
+  c.sim.mis_keepalive = true;
+  c.sim.run_until_round = 100;
+}
+
+TEST(PlanExecution, RoutingTable) {
+  using enum ExecutionPath;
+  constexpr auto kScalarOrder = sim::BatchRngMode::kScalarOrder;
+  constexpr auto kStatistical = sim::BatchRngMode::kStatisticalLanes;
+  constexpr std::size_t kBig = std::size_t{1} << 18;  // the default auto_shard_min_nodes
+  constexpr std::size_t kSmall = 1000;
+  const ProtocolProbe full{true, true};
+  const ProtocolProbe no_shard_support{false, true};
+  const ProtocolProbe no_batch_kernel{true, false};
+  const LiveScenario adaptive{sim::ScenarioKind::kAdaptive, "target-mis"};
+  const LiveScenario churn{sim::ScenarioKind::kObliviousStream, "churn"};
+  const LiveScenario static_live{sim::ScenarioKind::kStaticSchedule, "uniform-crash"};
+
+  struct Row {
+    const char* name;
+    TrialConfig config;
+    std::size_t nodes;
+    ProtocolProbe protocol;
+    const LiveScenario* scenario;
+    ExecutionPlan expected;
+  };
+  const Row rows[] = {
+      {"default shared sweep", shared_sweep(), kSmall, full, nullptr,
+       {kBatched, 1, 4, kScalarOrder, ""}},
+      {"lossy tail, scalar order", sweep_with(lossy_tail), kSmall, full, nullptr,
+       {kScalar, 1, 4, kScalarOrder, ""}},
+      {"lossy tail, statistical",
+       sweep_with([](TrialConfig& c) {
+         lossy_tail(c);
+         statistical(c);
+       }),
+       kSmall, full, nullptr, {kBatched, 1, 4, kStatistical, ""}},
+      {"per-trial graphs", sweep_with([](TrialConfig& c) { c.shared_graph = false; }), 0, full,
+       nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+      {"record_trace", sweep_with([](TrialConfig& c) { c.sim.record_trace = true; }), kSmall,
+       full, nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+      {"batching refused", sweep_with([](TrialConfig& c) { c.allow_batched = false; }), kSmall,
+       full, nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+      {"no trials", sweep_with([](TrialConfig& c) { c.trials = 0; }), kSmall, full, nullptr,
+       {kScalar, 1, 4, kScalarOrder, ""}},
+      {"one trial, auto, above the threshold",
+       sweep_with([](TrialConfig& c) { c.trials = 1; }), kBig, full, nullptr,
+       {kSharded, 4, 1, kScalarOrder, ""}},
+      {"one trial, auto, K clamped to 256",
+       sweep_with([](TrialConfig& c) {
+         c.trials = 1;
+         c.threads = 300;
+       }),
+       kBig, full, nullptr, {kSharded, 256, 1, kScalarOrder, ""}},
+      {"one trial, auto, below the threshold",
+       sweep_with([](TrialConfig& c) { c.trials = 1; }), kBig - 1, full, nullptr,
+       {kScalar, 1, 4, kScalarOrder, ""}},
+      {"one trial, per-trial graph, above the threshold",
+       sweep_with([](TrialConfig& c) {
+         c.trials = 1;
+         c.shared_graph = false;
+       }),
+       kBig, full, nullptr, {kSharded, 4, 1, kScalarOrder, ""}},
+      {"one trial on one thread", sweep_with([](TrialConfig& c) {
+         c.trials = 1;
+         c.threads = 1;
+       }),
+       kBig, full, nullptr, {kBatched, 1, 1, kScalarOrder, ""}},
+      {"explicit shards", sweep_with([](TrialConfig& c) { c.shards = 3; }), kSmall, full,
+       nullptr, {kSharded, 3, 1, kScalarOrder, ""}},
+      {"explicit shards, sharding refused",
+       sweep_with([](TrialConfig& c) {
+         c.shards = 3;
+         c.allow_sharded = false;
+       }),
+       kSmall, full, nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
+      {"statistical, auto, above the threshold", sweep_with(statistical), kBig, full, nullptr,
+       {kShardedBatched, 4, 1, kStatistical, ""}},
+      {"statistical, auto, below the threshold", sweep_with(statistical), kBig - 1, full,
+       nullptr, {kBatched, 1, 4, kStatistical, ""}},
+      {"statistical, shards = 1",
+       sweep_with([](TrialConfig& c) {
+         statistical(c);
+         c.shards = 1;
+       }),
+       kBig, full, nullptr, {kBatched, 1, 4, kStatistical, ""}},
+      {"statistical, explicit shards",
+       sweep_with([](TrialConfig& c) {
+         statistical(c);
+         c.shards = 3;
+       }),
+       kSmall, full, nullptr, {kShardedBatched, 3, 1, kStatistical, ""}},
+      {"statistical, explicit shards, one batch",
+       sweep_with([](TrialConfig& c) {
+         statistical(c);
+         c.shards = 3;
+         c.trials = 64;
+       }),
+       kSmall, full, nullptr, {kSharded, 3, 1, kScalarOrder, ""}},
+      {"no shard support, explicit shards", sweep_with([](TrialConfig& c) { c.shards = 3; }),
+       kSmall, no_shard_support, nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
+      {"no shard support, statistical", sweep_with(statistical), kBig, no_shard_support,
+       nullptr, {kBatched, 1, 4, kStatistical, ""}},
+      {"no batch kernel", shared_sweep(), kSmall, no_batch_kernel, nullptr,
+       {kScalar, 1, 4, kScalarOrder, ""}},
+      {"no batch kernel, statistical", sweep_with(statistical), kBig, no_batch_kernel, nullptr,
+       {kScalar, 1, 4, kScalarOrder, ""}},
+      {"adaptive scenario", sweep_with(statistical), kSmall, full, &adaptive,
+       {kScalar, 1, 4, kScalarOrder,
+        "scenario 'target-mis' is adaptive (observes live run state): batched/sharded fast "
+        "paths refused, scalar simulator only"}},
+      {"churn scenario", sweep_with(statistical), kSmall, full, &churn,
+       {kScalar, 1, 4, kScalarOrder,
+        "scenario 'churn' emits dynamic events (revives/churn): scalar simulator only"}},
+      {"static scenario left live", sweep_with([](TrialConfig& c) { c.shared_graph = false; }),
+       0, full, &static_live,
+       {kScalar, 1, 4, kScalarOrder,
+        "scenario 'uniform-crash' runs live on the scalar simulator (materialising needs "
+        "shared_graph and an empty crash_round)"}},
+      {"recovery tracking",
+       sweep_with([](TrialConfig& c) {
+         statistical(c);
+         c.sim.track_recovery = true;
+       }),
+       kSmall, full, nullptr,
+       {kScalar, 1, 4, kScalarOrder,
+        "recovery tracking is scalar-only: batched/sharded fast paths refused"}},
+      {"materialised static scenario",
+       sweep_with([](TrialConfig& c) { c.sim.crash_round.assign(kSmall, 5); }), kSmall, full,
+       nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const ExecutionPlan plan = plan_execution(row.config, row.nodes, row.protocol, row.scenario);
+    EXPECT_EQ(plan.path, row.expected.path);
+    EXPECT_EQ(plan.shards, row.expected.shards);
+    EXPECT_EQ(plan.workers, row.expected.workers);
+    EXPECT_EQ(plan.rng_mode, row.expected.rng_mode);
+    EXPECT_EQ(plan.reason, row.expected.reason);
+  }
+}
+
 TEST(TrialStats, MergeAccumulates) {
   TrialConfig config;
   config.trials = 4;

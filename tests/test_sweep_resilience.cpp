@@ -253,29 +253,59 @@ TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
 }
 
 TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
-  // A journal written by a 1-thread scalar run finishes under a 4-thread
-  // batched run with identical final bits: chunk geometry, not execution
-  // path, defines the aggregate.
-  const std::string path = temp_path("journal_cross.txt");
-  std::remove(path.c_str());
-  const TrialStats one_shot = run_beep_trials(
-      sweep_gnp(), local_feedback(), sweep_config(1, sim::BatchRngMode::kScalarOrder, false));
-
-  TrialConfig interrupted = sweep_config(1, sim::BatchRngMode::kScalarOrder, false);
-  interrupted.journal_path = path;
-  interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
-  interrupted.on_checkpoint = [&interrupted](std::size_t done) {
-    if (done >= 2) interrupted.stop_request->store(true);
+  // A journal is keyed to the numbers its sweep draws, not to how they are
+  // computed: chunk geometry and the plan's effective draw order define the
+  // aggregate.  A 1-thread scalar journal finishes under a 4-thread batched
+  // run, and a recovery-tracking sweep — scalar order whatever its rng_mode
+  // — resumes incrementally across rng_mode.  A batched statistical journal
+  // holds a different sample, so a scalar-order resume rejects it whole and
+  // recomputes.  Either way the result is the resumed config's one-shot
+  // bits.
+  struct Case {
+    const char* name;
+    TrialConfig written;
+    TrialConfig resumed;
+    bool incremental;
   };
-  const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
-  ASSERT_TRUE(partial.truncated);
+  const auto tracking = [](TrialConfig config) {
+    config.sim.track_recovery = true;
+    return config;
+  };
+  const Case cases[] = {
+      {"scalar, 1 thread -> batched, 4 threads",
+       sweep_config(1, sim::BatchRngMode::kScalarOrder, false),
+       sweep_config(4, sim::BatchRngMode::kScalarOrder, true), true},
+      {"recovery tracking: scalar order -> statistical lanes",
+       tracking(sweep_config(2, sim::BatchRngMode::kScalarOrder, true)),
+       tracking(sweep_config(2, sim::BatchRngMode::kStatisticalLanes, true)), true},
+      {"batched: statistical lanes -> scalar order",
+       sweep_config(2, sim::BatchRngMode::kStatisticalLanes, true),
+       sweep_config(2, sim::BatchRngMode::kScalarOrder, true), false},
+  };
+  const std::string path = temp_path("journal_cross.txt");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::remove(path.c_str());
+    const TrialStats one_shot = run_beep_trials(sweep_gnp(), local_feedback(), c.resumed);
 
-  TrialConfig resumed_cfg = sweep_config(4, sim::BatchRngMode::kScalarOrder, true);
-  resumed_cfg.journal_path = path;
-  resumed_cfg.resume = true;
-  const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
-  EXPECT_EQ(resumed.resumed_trials, partial.trials);
-  expect_stats_bits_equal(resumed, one_shot);
+    TrialConfig interrupted = c.written;
+    interrupted.journal_path = path;
+    interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
+    interrupted.on_checkpoint = [&interrupted](std::size_t done) {
+      if (done >= 2) interrupted.stop_request->store(true);
+    };
+    const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
+    ASSERT_TRUE(partial.truncated);
+
+    TrialConfig resumed_cfg = c.resumed;
+    resumed_cfg.journal_path = path;
+    resumed_cfg.resume = true;
+    const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
+    EXPECT_EQ(resumed.resumed_trials, c.incremental ? partial.trials : 0u);
+    EXPECT_EQ(resumed.resume_discarded_reason.empty(), c.incremental)
+        << resumed.resume_discarded_reason;
+    expect_stats_bits_equal(resumed, one_shot);
+  }
   std::remove(path.c_str());
 }
 
