@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -92,8 +94,9 @@ struct TrialRecord {
   std::string error;  ///< final attempt's exception text when quarantined
 };
 
-/// Metric extraction + MIS verification for one finished trial; shared by
-/// the scalar and batched paths so their records are field-identical.
+/// Metric extraction + MIS verification for one finished trial (the
+/// per-trial paths).  fill_lane_records below is its batched twin; the two
+/// must stay field-identical.
 void fill_record(TrialRecord& rec, const graph::Graph& g, const sim::RunResult& result) {
   rec.rounds = static_cast<double>(result.rounds);
   rec.beeps_per_node = result.mean_beeps_per_node();
@@ -110,6 +113,43 @@ void fill_record(TrialRecord& rec, const graph::Graph& g, const sim::RunResult& 
   rec.uncovered_nodes = report.uncovered_nodes;
   rec.recovery_rounds = result.recovery_rounds;
   rec.unrecovered_disruptions = result.unrecovered_disruptions;
+}
+
+/// fill_record for every lane of a finished batch, read straight from the
+/// simulator's final planes: one verify_mis_lanes pass plus one pass over
+/// the node-major beep counts, with no per-lane RunResult in between.
+/// Field-identical to fill_record on the extracted lanes: batched runs
+/// carry no message bits or recovery samples, and the integer beep total
+/// over n is exactly RunResult::mean_beeps_per_node (both sums stay far
+/// below 2^53).
+void fill_lane_records(std::span<TrialRecord> recs, const graph::Graph& g,
+                       const sim::LaneOutcomes& o) {
+  const std::vector<mis::VerificationReport> reports = mis::verify_mis_lanes(g, o);
+  std::array<std::uint64_t, sim::kMaxBatchLanes> total{};
+  std::array<std::uint32_t, sim::kMaxBatchLanes> max_beeps{};
+  for (std::size_t v = 0; v < o.n; ++v) {
+    const std::uint32_t* counts = &o.beep_counts[v * o.lanes];
+    for (unsigned l = 0; l < o.lanes; ++l) {
+      total[l] += counts[l];
+      max_beeps[l] = std::max(max_beeps[l], counts[l]);
+    }
+  }
+  for (unsigned l = 0; l < o.lanes; ++l) {
+    TrialRecord& rec = recs[l];
+    const mis::VerificationReport& report = reports[l];
+    rec.rounds = static_cast<double>(o.rounds[l]);
+    rec.beeps_per_node =
+        o.n == 0 ? 0.0 : static_cast<double>(total[l]) / static_cast<double>(o.n);
+    rec.max_beeps = static_cast<double>(max_beeps[l]);
+    rec.message_bits = 0.0;
+    rec.terminated = report.terminated;
+    rec.mis_size = static_cast<double>(report.mis_size);
+    rec.valid = report.valid();
+    rec.independence_violations = report.independence_violations;
+    rec.uncovered_nodes = report.uncovered_nodes;
+    rec.recovery_rounds.clear();
+    rec.unrecovered_disruptions = 0;
+  }
 }
 
 // run_workers — the shared worker-pool + exception-capture helper — lives
@@ -509,39 +549,39 @@ void run_per_trial(const GraphFactory& graphs, const graph::Graph* shared,
 /// batch's first trial index, is jump()-partitioned into the lane streams
 /// inside the simulator, so records stay deterministic for any thread
 /// count (per (base_seed, trials, mode), not per trial seed).
-std::vector<sim::RunResult> run_batch(sim::BatchSimulator& simulator, const graph::Graph& g,
-                                      sim::BatchProtocol& kernel,
-                                      const support::SeedSequence& root, std::size_t first,
-                                      std::size_t last) {
+sim::LaneOutcomes run_batch(sim::BatchSimulator& simulator, const graph::Graph& g,
+                            sim::BatchProtocol& kernel, const support::SeedSequence& root,
+                            std::size_t first, std::size_t last) {
   if (simulator.rng_mode() == sim::BatchRngMode::kStatisticalLanes) {
-    return simulator.run(g, kernel, root.child(first).child(1).generator(),
-                         static_cast<unsigned>(last - first));
+    return simulator.run_outcomes(g, kernel, root.child(first).child(1).generator(),
+                                  static_cast<unsigned>(last - first));
   }
   std::vector<support::Xoshiro256StarStar> rngs;
   rngs.reserve(last - first);
   for (std::size_t trial = first; trial < last; ++trial) {
     rngs.push_back(root.child(trial).child(1).generator());
   }
-  return simulator.run(g, kernel, std::move(rngs));
+  return simulator.run_outcomes(g, kernel, std::move(rngs));
 }
 
 /// Sharded-batched lanes (statistical only), seeded exactly like the
 /// batched statistical path.  The (shard, lane) stream partition makes the
 /// sample depend on the shard count, except at K = 1, where it coincides
 /// with BatchSimulator's.
-std::vector<sim::RunResult> run_batch(sim::ShardedBatchSimulator& simulator,
-                                      const graph::Graph& /*bound*/, sim::BatchProtocol& kernel,
-                                      const support::SeedSequence& root, std::size_t first,
-                                      std::size_t last) {
-  return simulator.run(kernel, root.child(first).child(1).generator(),
-                       static_cast<unsigned>(last - first));
+sim::LaneOutcomes run_batch(sim::ShardedBatchSimulator& simulator,
+                            const graph::Graph& /*bound*/, sim::BatchProtocol& kernel,
+                            const support::SeedSequence& root, std::size_t first,
+                            std::size_t last) {
+  return simulator.run_outcomes(kernel, root.child(first).child(1).generator(),
+                                static_cast<unsigned>(last - first));
 }
 
 /// Per-batch loop over the shared graph: each worker's simulator, from
 /// `make_simulator(deadline)`, runs every batch it claims as lanes of one
-/// batched kernel.  Seeds, records and the chunked aggregation are the
-/// per-trial loop's, so in kScalarOrder TrialStats match the scalar path
-/// exactly.
+/// batched kernel and reads the batch's records straight from its final
+/// planes (fill_lane_records).  Seeds, records and the chunked aggregation
+/// are the per-trial loop's, so in kScalarOrder TrialStats match the
+/// scalar path exactly.
 template <typename MakeSimulator>
 void run_per_batch(const graph::Graph& shared, const BeepProtocolFactory& protocols,
                    const TrialConfig& config, const ExecutionPlan& plan, SweepState& sweep,
@@ -557,11 +597,8 @@ void run_per_batch(const graph::Graph& shared, const BeepProtocolFactory& protoc
     }
     return [&, simulator = make_simulator(deadline), kernel = std::move(kernel)](
                std::size_t first, std::size_t last) mutable {
-      const std::vector<sim::RunResult> results =
-          run_batch(simulator, shared, *kernel, root, first, last);
-      for (std::size_t trial = first; trial < last; ++trial) {
-        fill_record(sweep.records[trial], shared, results[trial - first]);
-      }
+      fill_lane_records(std::span(sweep.records).subspan(first, last - first), shared,
+                        run_batch(simulator, shared, *kernel, root, first, last));
     };
   });
 }
@@ -583,12 +620,10 @@ void execute(const ExecutionPlan& plan, const GraphFactory& graphs, const graph:
                     });
       return;
     case ExecutionPath::kSharded:
-      // The sharded simulator ignores SimConfig::deadline_ns (its lanes
-      // rendezvous on barriers), so trial timeouts are not enforced here;
-      // budget expiry still truncates at trial boundaries.
       run_per_trial(graphs, shared, protocols, config, plan.workers, sweep,
-                    [&](const DeadlinePtr&) {
-                      return sim::ShardedSimulator(plan.shards, config.sim);
+                    [&](const DeadlinePtr& deadline) {
+                      return sim::ShardedSimulator(plan.shards,
+                                                   with_deadline(config.sim, deadline));
                     });
       return;
     case ExecutionPath::kBatched:

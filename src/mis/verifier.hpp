@@ -5,8 +5,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
+#include "sim/exchange_core.hpp"
 #include "sim/result.hpp"
 
 namespace beepmis::mis {
@@ -39,6 +41,13 @@ struct VerificationReport {
 /// if sizes do not match the graph.
 [[nodiscard]] VerificationReport verify_mis_run(const graph::Graph& g,
                                                 const sim::RunResult& result);
+
+/// verify_mis_run for every lane of a finished batch, in one pass over the
+/// graph and the final planes: element l equals
+/// verify_mis_run(g, sim::detail::extract_lane_results(outcomes)[l]).
+/// Throws std::invalid_argument if the planes do not match the graph.
+[[nodiscard]] std::vector<VerificationReport> verify_mis_lanes(
+    const graph::Graph& g, const sim::LaneOutcomes& outcomes);
 
 /// Shorthand: true iff the run terminated with a valid MIS.
 [[nodiscard]] bool is_valid_mis_run(const graph::Graph& g, const sim::RunResult& result);

@@ -239,8 +239,8 @@ void BatchSimulator::compact_active() {
   detail::compact_plane_active(active_, in_active_, live_);
 }
 
-std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
-                                           std::vector<support::Xoshiro256StarStar> rngs) {
+LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
+                                          std::vector<support::Xoshiro256StarStar> rngs) {
   if (rng_mode_ != BatchRngMode::kScalarOrder) {
     throw std::logic_error(
         "BatchSimulator: per-lane rng vectors belong to kScalarOrder; a "
@@ -250,9 +250,8 @@ std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol&
   return run_lanes(g, protocol, std::move(rngs));
 }
 
-std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base,
-                                           unsigned lanes) {
+LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
+                                          support::Xoshiro256StarStar base, unsigned lanes) {
   if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
     throw std::logic_error(
         "BatchSimulator: base-seeded runs belong to kStatisticalLanes; a "
@@ -275,9 +274,8 @@ std::vector<RunResult> BatchSimulator::run(const graph::Graph& g, BatchProtocol&
   return run_lanes(g, protocol, std::move(rngs));
 }
 
-std::vector<RunResult> BatchSimulator::run_lanes(
-    const graph::Graph& g, BatchProtocol& protocol,
-    std::vector<support::Xoshiro256StarStar> rngs) {
+LaneOutcomes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& protocol,
+                                       std::vector<support::Xoshiro256StarStar> rngs) {
   BEEPMIS_STM_DECLARE(faults, "batch/faults");
   BEEPMIS_STM_DECLARE(emit, "batch/emit");
   BEEPMIS_STM_DECLARE(deliver, "batch/deliver");
@@ -416,9 +414,8 @@ std::vector<RunResult> BatchSimulator::run_lanes(
     ++round_;
   }
 
-  return detail::extract_lane_results(n, lanes, crashed_, inmis_, dominated_,
-                                      beep_counts_.data(), terminated_,
-                                      lane_rounds_.data(), reactivation_counts_.data());
+  return LaneOutcomes{n, lanes, crashed_, inmis_, dominated_, beep_counts_,
+                      terminated_, lane_rounds_, reactivation_counts_};
 }
 
 }  // namespace beepmis::sim

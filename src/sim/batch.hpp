@@ -43,6 +43,7 @@
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -233,12 +234,20 @@ class BatchSimulator {
 
   /// kScalarOrder only (throws std::logic_error otherwise): runs
   /// rngs.size() lanes (1..kMaxBatchLanes) of `protocol` on `g` to
-  /// per-lane termination (or the round cap).  Returns one RunResult per
-  /// lane, bit-identical to scalar BeepSimulator::run(g, scalar_protocol,
-  /// rngs[l]) for every lane l.  The caller must keep `g` alive for the
+  /// per-lane termination (or the round cap).  Returns the finished
+  /// batch as a view of this simulator's planes, valid until its next
+  /// run; lane l is bit-identical to scalar BeepSimulator::run(g,
+  /// scalar_protocol, rngs[l]).  The caller must keep `g` alive for the
   /// duration of the call.
+  [[nodiscard]] LaneOutcomes run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
+                                          std::vector<support::Xoshiro256StarStar> rngs);
+  LaneOutcomes run_outcomes(graph::Graph&&, BatchProtocol&,
+                            std::vector<support::Xoshiro256StarStar>) = delete;
+  /// run_outcomes, extracted into one RunResult per lane.
   [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           std::vector<support::Xoshiro256StarStar> rngs);
+                                           std::vector<support::Xoshiro256StarStar> rngs) {
+    return detail::extract_lane_results(run_outcomes(g, protocol, std::move(rngs)));
+  }
   RunResult run(graph::Graph&&, BatchProtocol&,
                 std::vector<support::Xoshiro256StarStar>) = delete;
 
@@ -248,9 +257,16 @@ class BatchSimulator {
   /// bulk-plane stream — so lane l's stream depends only on (seed, l).
   /// Per-lane results are distributed like independent scalar runs but are
   /// not bit-comparable to any scalar seed; they are deterministic per
-  /// (seed, lane count).
+  /// (seed, lane count).  The view is valid until this simulator's next run.
+  [[nodiscard]] LaneOutcomes run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
+                                          support::Xoshiro256StarStar base, unsigned lanes);
+  LaneOutcomes run_outcomes(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
+                            unsigned) = delete;
+  /// run_outcomes, extracted into one RunResult per lane.
   [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base, unsigned lanes);
+                                           support::Xoshiro256StarStar base, unsigned lanes) {
+    return detail::extract_lane_results(run_outcomes(g, protocol, base, lanes));
+  }
   RunResult run(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
                 unsigned) = delete;
 
@@ -264,9 +280,8 @@ class BatchSimulator {
   void apply_wakeups_and_crashes();
   void deliver_beeps();
   void compact_active();
-  [[nodiscard]] std::vector<RunResult> run_lanes(
-      const graph::Graph& g, BatchProtocol& protocol,
-      std::vector<support::Xoshiro256StarStar> rngs);
+  [[nodiscard]] LaneOutcomes run_lanes(const graph::Graph& g, BatchProtocol& protocol,
+                                       std::vector<support::Xoshiro256StarStar> rngs);
 
   const graph::Graph* graph_ = nullptr;
   SimConfig config_;

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -463,34 +464,69 @@ inline void apply_mis_hear_planes(const std::vector<graph::NodeId>& mis_hear,
   }
 }
 
-/// Node-major per-lane RunResult extraction shared by the batched
-/// front-ends: the node-major beep counts and the planes are each read once
+}  // namespace beepmis::sim::detail
+
+namespace beepmis::sim {
+
+/// A finished batched run, read in place: the final planes and per-lane
+/// counters of the front-end that produced it (BatchSimulator and
+/// ShardedBatchSimulator::run_outcomes).  Non-owning: valid until that
+/// simulator's next run.  Bit l of every plane is lane l.  A (node, lane)
+/// pair's final status is, in precedence order, crashed, in-MIS,
+/// dominated, else active — the planes may overlap, the accessors below
+/// resolve them.
+struct LaneOutcomes {
+  graph::NodeId n = 0;
+  unsigned lanes = 0;
+  std::span<const LaneMask> crashed;    ///< n entries
+  std::span<const LaneMask> inmis;      ///< n entries
+  std::span<const LaneMask> dominated;  ///< n entries
+  /// Per-(node, lane) beep episodes, node-major: beep_counts[v * lanes + l].
+  std::span<const std::uint32_t> beep_counts;
+  LaneMask terminated = 0;
+  std::span<const std::size_t> rounds;           ///< per lane
+  std::span<const std::uint64_t> reactivations;  ///< per lane
+
+  /// Bits of the lanes the run had.
+  [[nodiscard]] LaneMask lane_mask() const noexcept {
+    return lanes >= kMaxBatchLanes ? ~LaneMask{0} : (LaneMask{1} << lanes) - 1;
+  }
+  /// Lanes in which v ended in the MIS.
+  [[nodiscard]] LaneMask mis_lanes(graph::NodeId v) const {
+    return inmis[v] & ~crashed[v];
+  }
+  /// Lanes in which v ended dominated.
+  [[nodiscard]] LaneMask dominated_lanes(graph::NodeId v) const {
+    return dominated[v] & ~inmis[v] & ~crashed[v];
+  }
+};
+
+}  // namespace beepmis::sim
+
+namespace beepmis::sim::detail {
+
+/// Per-lane RunResults of a finished batch (the batched front-ends' run()).
+/// Node-major: the beep counts and the planes are each read once
 /// sequentially (lane-major order would stride through the count array 64
 /// times).  Per-lane episode totals are the per-node counts summed, so they
 /// are derived here instead of a second scatter increment per episode in
-/// BatchContext::beep.  `reactivation_counts` may be nullptr (no
-/// self-healing bookkeeping).
-inline std::vector<RunResult> extract_lane_results(
-    graph::NodeId n, unsigned lanes, const std::vector<LaneMask>& crashed,
-    const std::vector<LaneMask>& inmis, const std::vector<LaneMask>& dominated,
-    const std::uint32_t* beep_counts, LaneMask terminated, const std::size_t* lane_rounds,
-    const std::uint64_t* reactivation_counts) {
-  std::vector<RunResult> results(lanes);
-  for (unsigned l = 0; l < lanes; ++l) {
-    const LaneMask bit = LaneMask{1} << l;
+/// BatchContext::beep.
+inline std::vector<RunResult> extract_lane_results(const LaneOutcomes& o) {
+  std::vector<RunResult> results(o.lanes);
+  for (unsigned l = 0; l < o.lanes; ++l) {
     RunResult& r = results[l];
-    r.terminated = (terminated & bit) != 0;
-    r.rounds = lane_rounds[l];
-    r.status.resize(n);
-    r.beep_counts.resize(n);
-    if (reactivation_counts != nullptr) r.reactivations = reactivation_counts[l];
+    r.terminated = (o.terminated >> l) & 1;
+    r.rounds = o.rounds[l];
+    r.status.resize(o.n);
+    r.beep_counts.resize(o.n);
+    r.reactivations = o.reactivations[l];
   }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const LaneMask cr = crashed[v];
-    const LaneMask im = inmis[v];
-    const LaneMask dm = dominated[v];
-    const std::uint32_t* counts = &beep_counts[static_cast<std::size_t>(v) * lanes];
-    for (unsigned l = 0; l < lanes; ++l) {
+  for (graph::NodeId v = 0; v < o.n; ++v) {
+    const LaneMask cr = o.crashed[v];
+    const LaneMask im = o.mis_lanes(v);
+    const LaneMask dm = o.dominated_lanes(v);
+    const std::uint32_t* counts = &o.beep_counts[static_cast<std::size_t>(v) * o.lanes];
+    for (unsigned l = 0; l < o.lanes; ++l) {
       const LaneMask bit = LaneMask{1} << l;
       NodeStatus s = NodeStatus::kActive;
       if (cr & bit) {

@@ -215,6 +215,12 @@ void ShardedSimulator::coordinate_round_boundary() {
   }
   first_pass_ = false;
 
+  if (config_.deadline_ns != nullptr &&
+      steady_now_ns() > config_.deadline_ns->load(std::memory_order_relaxed)) {
+    throw RunCancelled("ShardedSimulator::run: deadline expired at round " +
+                       std::to_string(round_));
+  }
+
   active_total_ = 0;
   wakeups_pending_ = false;
   for (const Lane& lane : lanes_) {

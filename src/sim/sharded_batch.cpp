@@ -92,17 +92,17 @@ void ShardedBatchSimulator::bind_graph(const graph::Graph& g) {
   }
 }
 
-std::vector<RunResult> ShardedBatchSimulator::run(const graph::Graph& g,
-                                                  BatchProtocol& protocol,
-                                                  support::Xoshiro256StarStar base,
-                                                  unsigned lanes) {
+LaneOutcomes ShardedBatchSimulator::run_outcomes(const graph::Graph& g,
+                                                BatchProtocol& protocol,
+                                                support::Xoshiro256StarStar base,
+                                                unsigned lanes) {
   bind_graph(g);
-  return run(protocol, std::move(base), lanes);
+  return run_outcomes(protocol, std::move(base), lanes);
 }
 
-std::vector<RunResult> ShardedBatchSimulator::run(BatchProtocol& protocol,
-                                                  support::Xoshiro256StarStar base,
-                                                  unsigned lanes) {
+LaneOutcomes ShardedBatchSimulator::run_outcomes(BatchProtocol& protocol,
+                                                support::Xoshiro256StarStar base,
+                                                unsigned lanes) {
   if (graph_ == nullptr) {
     throw std::logic_error("ShardedBatchSimulator::run: no graph bound");
   }
@@ -211,9 +211,8 @@ std::vector<RunResult> ShardedBatchSimulator::run(BatchProtocol& protocol,
       reactivation_totals_[l] += shard.reactivation_counts[l];
     }
   }
-  return detail::extract_lane_results(n, lanes, crashed_, inmis_, dominated_,
-                                      beep_counts_.data(), terminated_,
-                                      lane_rounds_.data(), reactivation_totals_.data());
+  return LaneOutcomes{n, lanes, crashed_, inmis_, dominated_, beep_counts_,
+                      terminated_, lane_rounds_, reactivation_totals_};
 }
 
 void ShardedBatchSimulator::coordinate_round_boundary() {

@@ -87,17 +87,30 @@ class ShardedBatchSimulator {
 
   /// Runs `lanes` (1..kMaxBatchLanes) statistical lanes of `protocol` on
   /// the bound graph to per-lane termination (or the round cap).  Returns
-  /// one RunResult per lane; at shard count 1 the results are
-  /// bit-identical to BatchSimulator's kStatisticalLanes run with the
-  /// same (graph, protocol, base, lanes).
-  [[nodiscard]] std::vector<RunResult> run(BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base, unsigned lanes);
+  /// the finished batch as a view of this simulator's planes, valid until
+  /// its next run; at shard count 1 it is bit-identical to
+  /// BatchSimulator's kStatisticalLanes run with the same (graph,
+  /// protocol, base, lanes).
+  [[nodiscard]] LaneOutcomes run_outcomes(BatchProtocol& protocol,
+                                          support::Xoshiro256StarStar base, unsigned lanes);
   /// Rebinds to `g` (rebuilding the partition and fault schedules; like
   /// the sharded core there is no same-size fast path, because the
   /// partition depends on edge data) and runs.  The caller must keep `g`
   /// alive for the duration of the call.
+  [[nodiscard]] LaneOutcomes run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
+                                          support::Xoshiro256StarStar base, unsigned lanes);
+  LaneOutcomes run_outcomes(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
+                            unsigned) = delete;
+
+  /// run_outcomes, extracted into one RunResult per lane.
+  [[nodiscard]] std::vector<RunResult> run(BatchProtocol& protocol,
+                                           support::Xoshiro256StarStar base, unsigned lanes) {
+    return detail::extract_lane_results(run_outcomes(protocol, base, lanes));
+  }
   [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base, unsigned lanes);
+                                           support::Xoshiro256StarStar base, unsigned lanes) {
+    return detail::extract_lane_results(run_outcomes(g, protocol, base, lanes));
+  }
   std::vector<RunResult> run(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
                              unsigned) = delete;
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "exp/stats_io.hpp"
 #include "graph/generators.hpp"
 #include "mis/exact_feedback.hpp"
 #include "mis/global_schedule.hpp"
@@ -446,25 +447,11 @@ harness::BeepProtocolFactory local_feedback() {
   return [] { return std::make_unique<mis::LocalFeedbackMis>(); };
 }
 
+/// Exact TrialStats identity: the framed stats_io payload carries every
+/// aggregate as its IEEE-754 bit pattern, so equal payloads mean
+/// bit-identical fields.
 void expect_identical_stats(const harness::TrialStats& a, const harness::TrialStats& b) {
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.terminated, b.terminated);
-  EXPECT_EQ(a.valid, b.valid);
-  EXPECT_EQ(a.independence_violations, b.independence_violations);
-  EXPECT_EQ(a.uncovered_nodes, b.uncovered_nodes);
-  const auto expect_identical = [](const support::RunningStats& x,
-                                   const support::RunningStats& y) {
-    EXPECT_EQ(x.count(), y.count());
-    EXPECT_DOUBLE_EQ(x.mean(), y.mean());
-    EXPECT_DOUBLE_EQ(x.variance(), y.variance());
-    EXPECT_DOUBLE_EQ(x.min(), y.min());
-    EXPECT_DOUBLE_EQ(x.max(), y.max());
-  };
-  expect_identical(a.rounds, b.rounds);
-  expect_identical(a.beeps_per_node, b.beeps_per_node);
-  expect_identical(a.max_beeps_any_node, b.max_beeps_any_node);
-  expect_identical(a.mis_size, b.mis_size);
-  expect_identical(a.message_bits, b.message_bits);
+  EXPECT_EQ(harness::format_trial_stats(a), harness::format_trial_stats(b));
 }
 
 TEST(BatchRunner, BatchedTrialStatsIdenticalToScalar) {
@@ -558,6 +545,23 @@ TEST(BatchRunner, LosslessSweepIdenticalToScalar) {
   const harness::TrialStats s = run_beep_trials(shared_gnp(50), local_feedback(), scalar);
   const harness::TrialStats b = run_beep_trials(shared_gnp(50), local_feedback(), batched);
   expect_identical_stats(s, b);
+}
+
+TEST(BatchRunner, RoundCapLanesIdenticalToScalar) {
+  // A two-round cap stops lanes with nodes still active: non-terminated,
+  // invalid records must come out of the batched path exactly as scalar.
+  harness::TrialConfig config;
+  config.trials = 100;
+  config.base_seed = 0xcab;
+  config.sim.max_rounds = 2;
+  expect_runner_identity(local_feedback(), config);
+
+  config.threads = 1;
+  config.shared_graph = true;
+  const harness::TrialStats b = run_beep_trials(shared_gnp(60), local_feedback(), config);
+  EXPECT_EQ(b.trials, 100u);
+  EXPECT_LT(b.terminated, b.trials);
+  EXPECT_LT(b.valid, b.trials);
 }
 
 // --- Seed-path reference oracle -------------------------------------------

@@ -7,6 +7,7 @@
 // shard-capable protocol family and every fault dimension.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -187,6 +188,34 @@ TEST(ShardedSim, RepeatedRunsAreIdentical) {
   for (int i = 0; i < 3; ++i) {
     const sim::RunResult again = sim.run(protocol, support::Xoshiro256StarStar(5));
     expect_same_result(first, again, "rerun " + std::to_string(i));
+  }
+}
+
+TEST(ShardedSim, DeadlineCancelsAtRoundBoundary) {
+  // The coordinator checks SimConfig::deadline_ns at every round boundary:
+  // a deadline already past cancels the run and names the round; one that
+  // never passes leaves the run bit-identical to a run without a deadline,
+  // also on the simulator a cancellation has just aborted.
+  const graph::Graph g = gnp_graph(60, 5.0, 31);
+  mis::LocalFeedbackMis protocol;
+  for (const unsigned k : {1u, 3u}) {
+    const std::string label = "K=" + std::to_string(k);
+    const sim::RunResult unbounded =
+        sim::ShardedSimulator(g, k).run(protocol, support::Xoshiro256StarStar(7));
+    auto deadline = std::make_shared<std::atomic<std::int64_t>>(0);
+    sim::SimConfig config;
+    config.deadline_ns = deadline;
+    sim::ShardedSimulator bounded(g, k, config);
+    try {
+      (void)bounded.run(protocol, support::Xoshiro256StarStar(7));
+      ADD_FAILURE() << label << ": expired deadline did not cancel the run";
+    } catch (const sim::RunCancelled& e) {
+      EXPECT_NE(std::string(e.what()).find("deadline expired at round 0"), std::string::npos)
+          << label << ": " << e.what();
+    }
+    deadline->store(std::numeric_limits<std::int64_t>::max());
+    expect_same_result(unbounded, bounded.run(protocol, support::Xoshiro256StarStar(7)),
+                       label + " far deadline");
   }
 }
 
