@@ -48,6 +48,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -98,6 +99,8 @@ benchcommon::JsonReport make_report(const std::vector<Measurement>& results,
       {"seed", benchcommon::json_number(seed)},
       {"avg_degree", benchcommon::json_number(avg_degree)},
       {"lanes", benchcommon::json_number(sim::kMaxBatchLanes)},
+      {"hardware_threads",
+       benchcommon::json_number(std::max(1u, std::thread::hardware_concurrency()))},
   };
   for (const Measurement& m : results) {
     std::ostringstream row;

@@ -822,12 +822,12 @@ TrialStats run_local_trials(const GraphFactory& graphs, const LocalProtocolFacto
   init_sweep(sweep, config, /*local=*/true, ExecutionPlan{});
   graph::Graph shared;
   if (config.shared_graph) shared = build_trial0_graph(graphs, config.base_seed);
-  // The LOCAL-model simulator has no cooperative deadline hook, so
-  // trial_timeout_seconds is not enforced here; budget expiry still
-  // truncates at trial boundaries.
   run_per_trial(graphs, config.shared_graph ? &shared : nullptr, protocols, config,
-                config.threads, sweep,
-                [&](const DeadlinePtr&) { return sim::LocalSimulator(config.local_sim); });
+                config.threads, sweep, [&](const DeadlinePtr& deadline) {
+                  sim::LocalSimConfig local = config.local_sim;
+                  local.deadline_ns = deadline;
+                  return sim::LocalSimulator(local);
+                });
   return assemble(sweep);
 }
 

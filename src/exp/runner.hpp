@@ -136,9 +136,10 @@ struct TrialConfig {
   double budget_seconds = 0.0;
   /// Per-trial-attempt wall-clock timeout (0 = unlimited), enforced
   /// cooperatively by the simulators at round boundaries via
-  /// SimConfig::deadline_ns.  A timed-out attempt throws sim::RunCancelled:
-  /// with isolate_trial_faults it is retried / quarantined like any other
-  /// trial fault; without it, it fails the sweep (fail-fast).
+  /// SimConfig::deadline_ns (LocalSimConfig::deadline_ns for LOCAL
+  /// trials).  A timed-out attempt throws sim::RunCancelled: with
+  /// isolate_trial_faults it is retried / quarantined like any other trial
+  /// fault; without it, it fails the sweep (fail-fast).
   double trial_timeout_seconds = 0.0;
   /// Per-trial fault isolation.  false (default): the first trial exception
   /// aborts the sweep (historical fail-fast semantics).  true: a throwing

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/batch.hpp"
+#include "support/lane_block.hpp"
 
 namespace beepmis::mis::batch_skeleton {
 
@@ -22,6 +23,28 @@ inline void announce_winners(sim::BatchContext& ctx,
     const sim::LaneMask m = winner[v] & ctx.live_mask(v);
     if (m) ctx.beep(v, m);
   }
+}
+
+/// kScalarOrder intent emit on the AVX-512 lane block: every live node
+/// clears its winner plane and beeps in the lanes that
+/// `draw(block, row, live)` fires, where `row` is the node's per-lane
+/// exponent row.  The lane streams are copied into the block for the
+/// sweep and back after it, so the draws are exactly the per-lane loop's.
+template <typename Exponent, typename Draw>
+void emit_intent_on_lane_block(sim::BatchContext& ctx, std::vector<sim::LaneMask>& winner,
+                               const std::vector<Exponent>& exponents, Draw draw) {
+  const unsigned lanes = ctx.lane_count();
+  support::LaneBlock block;
+  for (unsigned l = 0; l < lanes; ++l) block.load(l, ctx.rng(l));
+  for (const graph::NodeId v : ctx.active_nodes()) {
+    const sim::LaneMask live = ctx.live_mask(v);
+    if (!live) continue;
+    winner[v] = 0;
+    const sim::LaneMask beeps =
+        draw(block, &exponents[static_cast<std::size_t>(v) * lanes], live);
+    if (beeps) ctx.beep(v, beeps);
+  }
+  for (unsigned l = 0; l < lanes; ++l) block.store(l, ctx.rng(l));
 }
 
 /// Announcement-exchange react: winners join the MIS; anyone else (still

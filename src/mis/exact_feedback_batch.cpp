@@ -22,6 +22,7 @@ void BatchExactLocalFeedbackMis::reset(const graph::Graph& g,
   const graph::NodeId n = g.node_count();
   lanes_ = static_cast<unsigned>(rngs.size());
   winner_.assign(n, 0);
+  lane_block_ = support::LaneBlock::supported();
   if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
     eplanes_.reset(n, kExpWidth, 1);
     exponent_.clear();
@@ -54,6 +55,13 @@ void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
         const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
         if (beeps) ctx.beep(v, beeps);
       }
+    } else if (lane_block_) {
+      // The same draws, eight lanes per AVX-512 op.
+      batch_skeleton::emit_intent_on_lane_block(
+          ctx, winner_, exponent_,
+          [](support::LaneBlock& block, const std::uint32_t* k, LaneMask live) {
+            return block.draw_pow2(k, live, 1074);
+          });
     } else {
       for (const graph::NodeId v : ctx.active_nodes()) {
         const LaneMask live = ctx.live_mask(v);

@@ -28,7 +28,7 @@ using sim::LaneMask;
 
 /// Exponent at which the halving sequence 2^-k reaches exact 0.0:
 /// 2^-1074 is the smallest subnormal, and 2^-1075 rounds to even (0).
-constexpr std::uint16_t kZeroExponent = 1075;
+constexpr std::uint16_t kZeroExponent = support::LaneBlock::kZeroExponent;
 
 /// Bitplane width of the statistical-lanes exponent representation; every
 /// reachable exponent (<= kZeroExponent) fits in 11 bits.
@@ -52,6 +52,7 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
 
   unsigned k0 = 0;
   unsigned k_cap = 0;
+  lane_block_ = support::LaneBlock::supported();
   dyadic_ = !hetero_p && !hetero_factor && config_.factor_low == 2.0 &&
             negative_pow2_exponent(config_.initial_p_low, &k0) &&
             negative_pow2_exponent(config_.max_p, &k_cap);
@@ -111,6 +112,14 @@ void BatchLocalFeedbackMis::reset_lane_probability(graph::NodeId v, unsigned lan
 }
 
 void BatchLocalFeedbackMis::emit_intent_dyadic(sim::BatchContext& ctx) {
+  if (lane_block_) {
+    // Same draws, eight lanes per AVX-512 op.
+    batch_skeleton::emit_intent_on_lane_block(
+        ctx, winner_, k_, [](support::LaneBlock& block, const std::uint16_t* k, LaneMask live) {
+          return block.draw_pow2(k, live);
+        });
+    return;
+  }
   for (const graph::NodeId v : ctx.active_nodes()) {
     const LaneMask live = ctx.live_mask(v);
     if (!live) continue;
@@ -121,7 +130,8 @@ void BatchLocalFeedbackMis::emit_intent_dyadic(sim::BatchContext& ctx) {
       const unsigned l = lowest_lane(b);
       // One rng() output per draw, exactly like the scalar bernoulli; the
       // endpoint behaviour (subnormal region, 2^-1075 underflow to
-      // never-beep) is single-sourced in bernoulli_pow2.
+      // never-beep) is single-sourced in bernoulli_pow2, and the lane
+      // block's draw_pow2 is pinned to it.
       beeps |= static_cast<LaneMask>(ctx.rng(l).bernoulli_pow2(kv[l])) << l;
     }
     if (beeps) ctx.beep(v, beeps);
@@ -212,19 +222,10 @@ void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
     if (dyadic_) {
       // Exponent form of the feedback rule: /2 is k+1 (sticking at exact
       // zero), *2-capped-at-max_p is k-1 floored at k_min.
-      std::uint16_t* kv = &k_[base];
-      for (LaneMask b = live; b != 0; b &= b - 1) {
-        const unsigned l = lowest_lane(b);
-        std::uint16_t& k = kv[l];
-        // Branchless: heard is a coin flip per lane, so arithmetic on the
-        // bit beats a mispredicting branch.  Exponent 1075 (exact zero) is
-        // sticky in both directions; silence floors at k_min (max_p).
-        const std::uint16_t h = static_cast<std::uint16_t>((heard >> l) & 1u);
-        const std::uint16_t movable = static_cast<std::uint16_t>(k < kZeroExponent);
-        const std::uint16_t inc = static_cast<std::uint16_t>(h & movable);
-        const std::uint16_t dec =
-            static_cast<std::uint16_t>((h ^ 1u) & movable & (k > k_min_));
-        k = static_cast<std::uint16_t>(k + inc - dec);
+      if (lane_block_) {
+        support::LaneBlock::feedback_pow2(&k_[base], live, heard, k_min_);
+      } else {
+        support::LaneBlock::feedback_pow2_reference(&k_[base], live, heard, k_min_);
       }
       continue;
     }

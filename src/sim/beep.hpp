@@ -48,24 +48,6 @@
 
 namespace beepmis::sim {
 
-/// Thrown when a run is abandoned because its cooperative deadline
-/// (SimConfig::deadline_ns) expired.  The trial harness maps this either
-/// to a per-trial timeout (a failed attempt that is retried / quarantined)
-/// or to sweep-budget expiry (the trial is abandoned and the sweep is
-/// truncated at a clean boundary) depending on which deadline fired — see
-/// exp/runner.hpp.
-class RunCancelled : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Monotonic now in nanoseconds, the unit SimConfig::deadline_ns uses.
-[[nodiscard]] inline std::int64_t steady_now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct SimConfig {
   /// Hard cap on rounds; a run that hits it returns terminated = false.
   std::size_t max_rounds = 1u << 20;
@@ -118,10 +100,10 @@ struct SimConfig {
   /// pointer test per round.  Honoured by the scalar, batched, sharded and
   /// sharded-batched simulators (the sharded cores check it on their
   /// coordinator at the round boundary, where a throw parks like any shard
-  /// error and unwinds no barrier); the LOCAL simulator ignores it.  A
-  /// protocol that never returns from emit/react cannot be cancelled by
-  /// anything in-process; that is what the process-level kill-and-resume
-  /// path (exp/journal.hpp) is for.
+  /// error and unwinds no barrier), and by the LOCAL simulator through
+  /// LocalSimConfig::deadline_ns.  A protocol that never returns from
+  /// emit/react cannot be cancelled by anything in-process; that is what
+  /// the process-level kill-and-resume path (exp/journal.hpp) is for.
   std::shared_ptr<const std::atomic<std::int64_t>> deadline_ns;
   /// Sharded simulators only: materialize per-shard reordered CSR copies
   /// (graph::Partition::materialize_local_adjacency) at graph-bind time, so

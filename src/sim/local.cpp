@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sim/flag_buffer.hpp"
 
@@ -90,6 +91,11 @@ RunResult LocalSimulator::run(LocalProtocol& protocol, support::Xoshiro256StarSt
 
   std::size_t round = 0;
   while (!active_.empty() && round < config_.max_rounds) {
+    if (config_.deadline_ns != nullptr &&
+        steady_now_ns() > config_.deadline_ns->load(std::memory_order_relaxed)) {
+      throw RunCancelled("LocalSimulator::run: deadline expired at round " +
+                         std::to_string(round));
+    }
     for (unsigned e = 0; e < exchanges; ++e) {
       detail::clear_flags(published_, publishers_);
       ctx.round_ = round;

@@ -9,7 +9,9 @@
 // are possible (paper §5).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,11 @@ namespace beepmis::sim {
 
 struct LocalSimConfig {
   std::size_t max_rounds = 1u << 20;
+  /// Cooperative cancellation deadline, as SimConfig::deadline_ns: checked
+  /// against steady_now_ns() at every round boundary, throwing
+  /// RunCancelled once exceeded; nullptr (the default) never cancels.  A
+  /// runtime handle, not part of any request fingerprint.
+  std::shared_ptr<const std::atomic<std::int64_t>> deadline_ns;
 };
 
 class LocalSimulator;

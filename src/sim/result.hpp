@@ -3,12 +3,32 @@
 // message bits for the LOCAL-model baseline).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace beepmis::sim {
+
+/// Thrown when a run is abandoned because its cooperative deadline
+/// (SimConfig::deadline_ns or LocalSimConfig::deadline_ns) expired.  The
+/// trial harness maps this either to a per-trial timeout (a failed attempt
+/// that is retried / quarantined) or to sweep-budget expiry (the trial is
+/// abandoned and the sweep is truncated at a clean boundary) depending on
+/// which deadline fired — see exp/runner.hpp.
+class RunCancelled : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Monotonic now in nanoseconds, the unit of the simulators' deadline_ns.
+[[nodiscard]] inline std::int64_t steady_now_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Fate of a node during a distributed MIS execution.
 enum class NodeStatus : std::uint8_t {

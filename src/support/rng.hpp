@@ -122,6 +122,10 @@ class Xoshiro256StarStar {
   [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state() const noexcept {
     return state_;
   }
+  /// Restore a state read with state() (lane-vector kernels step a copy).
+  constexpr void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
+    state_ = state;
+  }
 
   friend constexpr bool operator==(const Xoshiro256StarStar& a,
                                    const Xoshiro256StarStar& b) noexcept {

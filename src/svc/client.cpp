@@ -29,27 +29,42 @@ SweepClient SweepClient::connect(const std::string& socket_path) {
   return SweepClient(UnixStream::connect(socket_path));
 }
 
+void SweepClient::send_line(const std::string& line) {
+  try {
+    stream_.write_line(line);
+    send_error_.clear();
+  } catch (const std::runtime_error& e) {
+    // A winding-down beepmisd answers every open connection with a final
+    // refusal line and closes it.  A request that crossed that close
+    // cannot be sent, but the refusal is still readable: it becomes the
+    // reply, and only its absence is an error.
+    send_error_ = e.what();
+  }
+}
+
 std::string SweepClient::read_line_or_throw() {
   std::string line;
   const UnixStream::ReadStatus rs = stream_.read_line(line);
   if (rs != UnixStream::ReadStatus::kLine) {
-    throw std::runtime_error("beepmisd closed the connection mid-stream");
+    throw std::runtime_error(send_error_.empty()
+                                 ? "beepmisd closed the connection mid-stream"
+                                 : "beepmisd closed the connection (" + send_error_ + ")");
   }
   return line;
 }
 
 bool SweepClient::ping() {
-  stream_.write_line("ping");
+  send_line("ping");
   return read_line_or_throw() == "pong";
 }
 
 std::string SweepClient::drain() {
-  stream_.write_line("drain");
+  send_line("drain");
   return read_line_or_throw();
 }
 
 std::string SweepClient::stop() {
-  stream_.write_line("stop");
+  send_line("stop");
   return read_line_or_throw();
 }
 
@@ -59,7 +74,7 @@ SweepClient::Event SweepClient::submit(const std::string& spec_text, int priorit
     throw std::invalid_argument("client_id must be one whitespace-free token");
   }
   if (priority < 0 || priority > 9) throw std::invalid_argument("priority must be in 0..9");
-  stream_.write_line("submit " + client_id + " " + std::to_string(priority) + " " + spec_text);
+  send_line("submit " + client_id + " " + std::to_string(priority) + " " + spec_text);
   return next_event();
 }
 

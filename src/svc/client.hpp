@@ -68,10 +68,12 @@ class SweepClient {
 
  private:
   explicit SweepClient(UnixStream stream) : stream_(std::move(stream)) {}
+  void send_line(const std::string& line);
   [[nodiscard]] std::string read_line_or_throw();
   [[nodiscard]] Event parse_event(const std::string& line);
 
   UnixStream stream_;
+  std::string send_error_;  ///< why the last send failed ("" = it did not)
 };
 
 }  // namespace beepmis::svc

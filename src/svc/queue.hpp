@@ -48,6 +48,12 @@ class JobQueue {
   /// jobs stay in the lanes (size() still reports them).
   void shutdown_now();
 
+  /// Hold dispatch: pushes still queue, but pop() blocks (and try_pop()
+  /// returns nullopt) until resume() or shutdown_now().  A closed queue
+  /// stays held too, so a drain waits for resume().
+  void pause();
+  void resume();
+
   [[nodiscard]] std::size_t size() const;
 
  private:
@@ -68,6 +74,7 @@ class JobQueue {
   std::size_t total_ = 0;
   bool closed_ = false;
   bool shutdown_ = false;
+  bool paused_ = false;
 };
 
 }  // namespace beepmis::svc

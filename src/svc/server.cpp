@@ -245,6 +245,7 @@ void SweepService::recover_pending() {
 void SweepService::drain() {
   int expected = kRunning;
   if (!phase_.compare_exchange_strong(expected, kDraining)) return;
+  draining_.store(true);
   // Under the registry lock so no submit can slip between the phase check
   // and its queue_.push after the queue closes.
   const std::lock_guard<std::mutex> lock(registry_m_);
@@ -262,6 +263,12 @@ void SweepService::stop() {
   queue_.shutdown_now();
 }
 
+void SweepService::stop_at_next_checkpoint() { stop_at_checkpoint_.store(true); }
+
+void SweepService::pause_dispatch() { queue_.pause(); }
+
+void SweepService::resume_dispatch() { queue_.resume(); }
+
 void SweepService::join() {
   if (scheduler_thread_.joinable()) scheduler_thread_.join();
   if (listener_thread_.joinable()) listener_thread_.join();
@@ -271,6 +278,10 @@ void SweepService::join() {
     conns.swap(conn_threads_);
   }
   for (std::thread& t : conns) t.join();
+  {
+    const std::lock_guard<std::mutex> lock(conn_m_);
+    finished_conns_.clear();
+  }
   listener_.reset();
 }
 
@@ -293,12 +304,13 @@ void SweepService::worker_loop() {
 void SweepService::run_job(const std::shared_ptr<Job>& job) {
   cli::SweepHooks hooks;
   hooks.stop_request = stop_flag_;
-  hooks.on_checkpoint = [job](std::size_t chunks) {
+  hooks.on_checkpoint = [this, job](std::size_t chunks) {
     {
       const std::lock_guard<std::mutex> lock(job->m);
       job->chunks_done = chunks;
     }
     job->cv.notify_all();
+    if (stop_at_checkpoint_.exchange(false)) stop();
   };
 
   harness::TrialStats stats;
@@ -412,16 +424,42 @@ void SweepService::finish_job(const std::shared_ptr<Job>& job, std::string statu
 void SweepService::listener_loop() {
   try {
     while (phase_.load() < kStopping) {
+      reap_connections();
       std::optional<UnixStream> conn = listener_->accept(config_.poll_ms);
       if (!conn) continue;
       const std::lock_guard<std::mutex> lock(conn_m_);
       conn_threads_.emplace_back(
-          [this](UnixStream s) { handle_connection(std::move(s)); }, std::move(*conn));
+          [this](UnixStream s) {
+            handle_connection(std::move(s));
+            const std::lock_guard<std::mutex> done(conn_m_);
+            finished_conns_.push_back(std::this_thread::get_id());
+          },
+          std::move(*conn));
     }
   } catch (const std::exception& e) {
     record_internal_error("listener", e.what());
     begin_stop();
   }
+}
+
+void SweepService::reap_connections() {
+  // An exited thread keeps its stack mapped until it is joined, so a
+  // long-lived daemon joins each connection's thread once it has finished.
+  std::vector<std::thread> finished;
+  {
+    const std::lock_guard<std::mutex> lock(conn_m_);
+    for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
+      if (std::find(finished_conns_.begin(), finished_conns_.end(), it->get_id()) !=
+          finished_conns_.end()) {
+        finished.push_back(std::move(*it));
+        it = conn_threads_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    finished_conns_.clear();
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void SweepService::handle_connection(UnixStream stream) {
@@ -447,16 +485,26 @@ void SweepService::handle_connection(UnixStream stream) {
       } else if (line == "stop") {
         stop();
         stream.write_line("ok stopping");
-        return;
+        break;
       } else if (line.compare(0, 7, "submit ") == 0) {
         handle_submit(stream, line.substr(7));
       } else {
         stream.write_line("error " + escape_text("unknown verb: " + line));
       }
     }
+    // Winding down with the peer still connected: whatever it sends next
+    // (possibly already on its way) is answered by this refusal, and the
+    // graceful close keeps that answer readable.
+    stream.write_line("error " + escape_text(refusal()));
+    stream.close_gracefully();
   } catch (const std::exception&) {
     // A vanished or misbehaving peer tears down its own connection only.
   }
+}
+
+std::string SweepService::refusal() const {
+  return draining_.load() ? "server draining; not accepting new work"
+                          : "server stopping; not accepting new work";
 }
 
 void SweepService::handle_submit(UnixStream& stream, const std::string& rest) {
@@ -495,7 +543,7 @@ void SweepService::handle_submit(UnixStream& stream, const std::string& rest) {
   {
     const std::lock_guard<std::mutex> lock(registry_m_);
     if (phase_.load() != kRunning) {
-      stream.write_line("error " + escape_text("server draining; not accepting new work"));
+      stream.write_line("error " + escape_text(refusal()));
       return;
     }
     ++counters_.submitted;

@@ -96,8 +96,25 @@ class SweepService {
   /// Returns immediately; join() waits.
   void stop();
 
+  /// stop() from inside the next checkpoint of a running sweep, before
+  /// its worker claims another chunk: a single-threaded sweep then stops
+  /// after exactly that chunk, however fast it runs.  For in-process
+  /// callers that need a deterministic mid-sweep stop (tests); no wire
+  /// verb.
+  void stop_at_next_checkpoint();
+
   /// Joins all service threads.  Call after drain() or stop().
   void join();
+
+  /// Hold the workers: submits are still accepted, acknowledged and
+  /// queued, but no queued job starts until resume_dispatch() (or stop()).
+  /// Lets a caller queue several requests and then observe the
+  /// scheduler's dispatch order without racing a running sweep; a drain()
+  /// issued while paused waits for resume_dispatch().  Callable before
+  /// start(), which then holds recovered jobs as well.  In-process only:
+  /// no wire verb.
+  void pause_dispatch();
+  void resume_dispatch();
 
   /// True once the service is winding down (stop()/drain() finished its
   /// backlog, a `stop`/`drain` verb arrived, or an internal error tore
@@ -137,6 +154,8 @@ class SweepService {
 
   void recover_pending();
   void listener_loop();
+  /// Joins the threads of connections that have closed.
+  void reap_connections();
   void worker_loop();
   void run_job(const std::shared_ptr<Job>& job);
   void finish_job(const std::shared_ptr<Job>& job, std::string status, int exit_code,
@@ -149,9 +168,13 @@ class SweepService {
                    const std::string& reason);
   void record_internal_error(const std::string& where, const std::string& what);
   void begin_stop();
+  /// Why new work is refused once the service winds down.
+  [[nodiscard]] std::string refusal() const;
 
   ServiceConfig config_;
   std::atomic<int> phase_{kIdle};
+  std::atomic<bool> draining_{false};  ///< drain() requested the wind-down
+  std::atomic<bool> stop_at_checkpoint_{false};  ///< see stop_at_next_checkpoint()
   std::shared_ptr<std::atomic<bool>> stop_flag_;
   JobQueue queue_;
   std::unique_ptr<UnixListener> listener_;
@@ -168,6 +191,8 @@ class SweepService {
   std::thread listener_thread_;
   std::mutex conn_m_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads that have finished and wait for reap_connections().
+  std::vector<std::thread::id> finished_conns_;
 };
 
 }  // namespace beepmis::svc

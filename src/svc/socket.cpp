@@ -83,6 +83,18 @@ void UnixStream::close() noexcept {
   buffer_.clear();
 }
 
+void UnixStream::close_gracefully() noexcept {
+  if (fd_ >= 0) {
+    // After SHUT_RD the peer can no longer queue input, so one
+    // non-blocking pass empties the receive queue for good.
+    ::shutdown(fd_, SHUT_RDWR);
+    char sink[4096];
+    while (::recv(fd_, sink, sizeof(sink), MSG_DONTWAIT) > 0) {
+    }
+  }
+  close();
+}
+
 void UnixStream::write_all(std::string_view data) {
   if (fd_ < 0) throw std::runtime_error("write on closed stream");
   while (!data.empty()) {

@@ -32,6 +32,13 @@ class UnixStream {
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void close() noexcept;
+  /// Close without resetting the peer: shut both directions, discard what
+  /// the peer already sent, then close.  The peer reads everything written
+  /// so far followed by EOF, and a later write of its own fails with EPIPE
+  /// instead of destroying that unread reply (closing a Unix stream with
+  /// unread input makes the peer's next read fail with ECONNRESET, even
+  /// when data is waiting for it).
+  void close_gracefully() noexcept;
 
   /// Writes every byte (handling short writes).  Throws std::runtime_error
   /// on any error, including a disconnected peer.

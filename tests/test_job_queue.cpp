@@ -2,7 +2,8 @@
 // priority across buckets, round-robin fair share across clients inside
 // a bucket (one client's backlog cannot starve another's single
 // request), and the two shutdown shapes (close = drain then stop,
-// shutdown_now = stop immediately, keep the backlog durable).  The
+// shutdown_now = stop immediately, keep the backlog durable), plus the
+// pause gate that holds dispatch while jobs queue.  The
 // discipline is deterministic given the push sequence, so these tests
 // pin exact pop orders.
 #include <gtest/gtest.h>
@@ -121,6 +122,34 @@ TEST(JobQueue, BlockingPopWakesOnShutdown) {
   std::thread popper([&] { EXPECT_EQ(q.pop(), std::nullopt); });
   q.shutdown_now();
   popper.join();
+}
+
+TEST(JobQueue, PauseHoldsDispatchUntilResume) {
+  // Paused: pushes queue, pops wait — even after close() — and the order
+  // after resume() is the fair-share order of everything queued.
+  JobQueue q;
+  q.pause();
+  q.push(1, 0, "a");
+  q.push(2, 0, "a");
+  q.push(3, 0, "b");
+  q.close();
+  EXPECT_EQ(q.try_pop(), std::nullopt);
+  EXPECT_EQ(q.size(), 3u);
+  q.resume();
+  EXPECT_EQ(q.pop(), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(q.pop(), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(q.pop(), std::optional<std::uint64_t>(2));
+  EXPECT_EQ(q.pop(), std::nullopt);
+}
+
+TEST(JobQueue, ShutdownReleasesPausedPoppers) {
+  JobQueue q;
+  q.pause();
+  q.push(7, 0, "a");
+  std::thread popper([&] { EXPECT_EQ(q.pop(), std::nullopt); });
+  q.shutdown_now();
+  popper.join();
+  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace

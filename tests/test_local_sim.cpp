@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
+#include "mis/luby.hpp"
 
 namespace beepmis::sim {
 namespace {
@@ -111,6 +116,67 @@ TEST(LocalSimulator, EmptyGraphTerminates) {
   const RunResult result = simulator.run(protocol, support::Xoshiro256StarStar(1));
   EXPECT_TRUE(result.terminated);
   EXPECT_EQ(result.rounds, 0u);
+}
+
+/// Silent until round `expire_at`, whose react moves the run's deadline
+/// into the past: the next round boundary must cancel, without any timing.
+class ExpireDeadlineProtocol final : public LocalProtocol {
+ public:
+  ExpireDeadlineProtocol(std::shared_ptr<std::atomic<std::int64_t>> deadline,
+                         std::size_t expire_at)
+      : deadline_(std::move(deadline)), expire_at_(expire_at) {}
+  [[nodiscard]] std::string_view name() const override { return "expire"; }
+  [[nodiscard]] unsigned exchanges_per_round() const override { return 1; }
+  void reset(const graph::Graph&, support::Xoshiro256StarStar&) override {}
+  void emit(LocalContext&) override {}
+  void react(LocalContext& ctx) override {
+    if (ctx.round() == expire_at_) deadline_->store(0);
+  }
+
+ private:
+  std::shared_ptr<std::atomic<std::int64_t>> deadline_;
+  std::size_t expire_at_;
+};
+
+TEST(LocalSimulator, DeadlineCancelsAtRoundBoundary) {
+  // The run loop checks LocalSimConfig::deadline_ns at every round
+  // boundary: a deadline already past cancels at round 0, one that passes
+  // during round 2 cancels at round 3, and one that never passes leaves
+  // the run bit-identical to a run without a deadline, also on the
+  // simulator a cancellation has just aborted.
+  const graph::Graph g = graph::path(6);
+  auto deadline = std::make_shared<std::atomic<std::int64_t>>(0);
+  LocalSimConfig config;
+  config.deadline_ns = deadline;
+  LocalSimulator bounded(g, config);
+  const auto expect_cancelled_at = [&](LocalProtocol& protocol, const std::string& round) {
+    try {
+      (void)bounded.run(protocol, support::Xoshiro256StarStar(1));
+      ADD_FAILURE() << "expired deadline did not cancel the run";
+    } catch (const RunCancelled& e) {
+      EXPECT_NE(std::string(e.what()).find("deadline expired at round " + round),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  SilentProtocol silent;
+  expect_cancelled_at(silent, "0");
+  deadline->store(std::numeric_limits<std::int64_t>::max());
+  ExpireDeadlineProtocol expire(deadline, 2);
+  expect_cancelled_at(expire, "3");
+
+  deadline->store(std::numeric_limits<std::int64_t>::max());
+  const graph::Graph gnp = [] {
+    support::Xoshiro256StarStar rng(5);
+    return graph::gnp(80, 0.08, rng);
+  }();
+  mis::LubyMis luby;
+  const RunResult unbounded = LocalSimulator(gnp).run(luby, support::Xoshiro256StarStar(9));
+  const RunResult far = bounded.run(gnp, luby, support::Xoshiro256StarStar(9));
+  EXPECT_EQ(far.rounds, unbounded.rounds);
+  EXPECT_EQ(far.terminated, unbounded.terminated);
+  EXPECT_EQ(far.status, unbounded.status);
+  EXPECT_EQ(far.message_bits, unbounded.message_bits);
 }
 
 }  // namespace

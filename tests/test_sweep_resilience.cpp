@@ -26,6 +26,7 @@
 #include "mis/local_feedback.hpp"
 #include "mis/verifier.hpp"
 #include "sim/beep.hpp"
+#include "sim/local.hpp"
 #include "support/rng.hpp"
 
 namespace beepmis::harness {
@@ -567,6 +568,39 @@ TEST(Chaos, HungTrialsHitTheTrialTimeoutAndQuarantine) {
   EXPECT_EQ(stats.failed_trials[0].trial, 7u);
   EXPECT_NE(stats.failed_trials[0].error.find("deadline expired"), std::string::npos)
       << stats.failed_trials[0].error;
+}
+
+/// A LOCAL protocol that never decides and sleeps 100 us per round.
+class HungLocalProtocol final : public sim::LocalProtocol {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "hung-local"; }
+  [[nodiscard]] unsigned exchanges_per_round() const override { return 1; }
+  void reset(const graph::Graph&, support::Xoshiro256StarStar&) override {}
+  void emit(sim::LocalContext&) override {}
+  void react(sim::LocalContext&) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+};
+
+TEST(Chaos, HungLocalTrialsHitTheTrialTimeout) {
+  // run_local_trials arms LocalSimConfig::deadline_ns, so a LOCAL trial
+  // that never decides is cancelled at a round boundary and quarantined.
+  // Reaching its round cap takes at least 10 s of sleep, far past the
+  // 50 ms timeout, so the outcome does not depend on the machine's speed.
+  TrialConfig config = chaos_config();
+  config.trials = 2;
+  config.max_retries = 0;
+  config.trial_timeout_seconds = 0.05;
+  config.local_sim.max_rounds = 100000;
+  const TrialStats stats = run_local_trials(
+      chaos_gnp(), [] { return std::make_unique<HungLocalProtocol>(); }, config);
+  EXPECT_EQ(stats.quarantined, 2u);
+  EXPECT_EQ(stats.trials, 0u);
+  ASSERT_EQ(stats.failed_trials.size(), 2u);
+  for (const auto& failed : stats.failed_trials) {
+    EXPECT_NE(failed.error.find("LocalSimulator::run: deadline expired"), std::string::npos)
+        << failed.error;
+  }
 }
 
 TEST(Chaos, WithoutIsolationTheFirstFaultFailsTheSweep) {

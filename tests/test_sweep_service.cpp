@@ -13,17 +13,22 @@
 //   * the sweep exit-code contract (0 complete / 2 quarantined / 3
 //     truncated) and resume_discarded_reason surface through the
 //     protocol;
+//   * a draining daemon refuses every open connection with a final
+//     error line and closes it gracefully, so no client ever sees a reset;
 //   * stop() + a fresh start() on the same state directory resumes a
 //     journaled in-flight sweep to a result bit-identical to an
 //     uninterrupted run (the crash-safety acceptance bar).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +38,7 @@
 #include "exp/runner.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
+#include "svc/socket.hpp"
 
 namespace beepmis::svc {
 namespace {
@@ -190,11 +196,13 @@ TEST_F(SweepServiceTest, StreamsProgressAndAnnouncesChunkTotal) {
 
 TEST_F(SweepServiceTest, DuplicateAttachesToInFlightJobAndRepeatsHitCache) {
   SweepService service(config(/*workers=*/1));
+  // Dispatch is held until the duplicate is acknowledged, so the target
+  // sweep is guaranteed still queued (= attachable) when it arrives, and
+  // the filler job then runs ahead of it.
+  service.pause_dispatch();
   service.start();
   const std::string socket = config().socket_path;
 
-  // A filler job occupies the single worker, so the target sweep is
-  // guaranteed still queued (= attachable) when the duplicate arrives.
   const cli::SweepSpec filler = small_spec(1, /*trials=*/32);
   const cli::SweepSpec target = small_spec(2, /*trials=*/96);
 
@@ -211,6 +219,7 @@ TEST_F(SweepServiceTest, DuplicateAttachesToInFlightJobAndRepeatsHitCache) {
   ASSERT_EQ(dup_ack.kind, Event::Kind::kAck);
   EXPECT_EQ(dup_ack.ack_mode, "attached");
   EXPECT_EQ(dup_ack.fingerprint, first_ack.fingerprint);
+  service.resume_dispatch();
 
   const auto pump = [](SweepClient& c) {
     Event e = c.next_event();
@@ -279,10 +288,14 @@ TEST_F(SweepServiceTest, DiskCacheSurvivesRestart) {
 
 TEST_F(SweepServiceTest, FairShareInterleavesClientsInsteadOfStarving) {
   SweepService service(config(/*workers=*/1));
+  // Hold dispatch so all five submits land in the queue before any job
+  // starts: the order below is then the scheduler's choice alone, however
+  // fast the sweeps run or slowly the clients connect.
+  service.pause_dispatch();
   service.start();
   const std::string socket = config().socket_path;
 
-  // Occupy the worker so every later submit lands in the queue.
+  // The first submitter's job dispatches first.
   SweepClient blocker = SweepClient::connect(socket);
   Event blocker_ack = blocker.submit(cli::format_sweep_spec(small_spec(10, 64)), 0, "setup");
   ASSERT_EQ(blocker_ack.kind, Event::Kind::kAck);
@@ -300,6 +313,8 @@ TEST_F(SweepServiceTest, FairShareInterleavesClientsInsteadOfStarving) {
   SweepClient bob = SweepClient::connect(socket);
   const Event bob_ack = bob.submit(cli::format_sweep_spec(small_spec(30, 32)), 0, "bob");
   ASSERT_EQ(bob_ack.kind, Event::Kind::kAck);
+  EXPECT_TRUE(service.started_order().empty()) << "a job started while dispatch was paused";
+  service.resume_dispatch();
 
   const auto pump = [](SweepClient& c) {
     Event e = c.next_event();
@@ -314,6 +329,7 @@ TEST_F(SweepServiceTest, FairShareInterleavesClientsInsteadOfStarving) {
   // request runs right after alice's FIRST job, not after her third.
   const std::vector<std::uint64_t> started = service.started_order();
   ASSERT_EQ(started.size(), 5u);
+  EXPECT_EQ(started[0], blocker_ack.fingerprint);
   EXPECT_EQ(started[1], alice_fp[0]);
   EXPECT_EQ(started[2], bob_ack.fingerprint);
   EXPECT_EQ(started[3], alice_fp[1]);
@@ -491,27 +507,103 @@ TEST_F(SweepServiceTest, DrainRefusesNewWorkButFinishesBacklog) {
   EXPECT_EQ(service.counters().completed, 1u);
 }
 
+TEST_F(SweepServiceTest, ExitedDaemonLeavesEveryConnectionARefusal) {
+  // A drained daemon answers each open connection with a final refusal
+  // and closes it without resetting the peer: a request sent after the
+  // daemon has exited still reads that refusal, never "Connection reset"
+  // or "Broken pipe".  Joining before the late submits makes this the
+  // worst case, deterministically.
+  SweepService service(config());
+  service.start();
+  const std::string socket = config().socket_path;
+  SweepClient admin = SweepClient::connect(socket);
+  SweepClient idle = SweepClient::connect(socket);
+  ASSERT_TRUE(idle.ping());
+  EXPECT_EQ(admin.drain(), "ok draining");
+  service.join();
+
+  for (SweepClient* client : {&admin, &idle}) {
+    const Event refused = client->submit(cli::format_sweep_spec(small_spec(810, 32)));
+    ASSERT_EQ(refused.kind, Event::Kind::kError);
+    EXPECT_EQ(refused.message, "server draining; not accepting new work");
+    // Nothing follows the refusal: the connection is closed, and the
+    // client says so instead of hanging.
+    EXPECT_THROW((void)client->ping(), std::runtime_error);
+  }
+}
+
+TEST_F(SweepServiceTest, ClosedConnectionsReleaseTheirThreads) {
+  // Each connection runs on its own thread, and an exited thread keeps its
+  // stack mapped until it is joined.  The listener joins the threads of
+  // closed connections, so after many short-lived clients the process
+  // holds no more mappings than before them (this used to grow by two
+  // per connection until the daemon exited).  Linux: counts
+  // /proc/self/maps lines.
+  const auto mappings = [] {
+    std::ifstream maps("/proc/self/maps");
+    return std::count(std::istreambuf_iterator<char>(maps), std::istreambuf_iterator<char>(),
+                      '\n');
+  };
+  SweepService service(config());
+  service.start();
+  const std::string socket = config().socket_path;
+  {
+    SweepClient warm = SweepClient::connect(socket);
+    ASSERT_TRUE(warm.ping());
+  }
+  const auto before = mappings();
+  for (int i = 0; i < 200; ++i) {
+    SweepClient client = SweepClient::connect(socket);
+    ASSERT_TRUE(client.ping());
+  }
+  EXPECT_TRUE(wait_for([&] { return mappings() <= before + 32; }))
+      << before << " mappings before 200 connections, " << mappings() << " after";
+}
+
+TEST_F(SweepServiceTest, GracefulCloseKeepsTheLastReplyReadable) {
+  // Closing a Unix stream with unread input resets the peer: its next
+  // read fails with ECONNRESET even though a reply is waiting for it.
+  // The server ends connections with close_gracefully(), which must keep
+  // that reply readable and turn a later write into a clean EPIPE.
+  UnixListener listener(config().socket_path);
+  UnixStream client = UnixStream::connect(config().socket_path);
+  std::optional<UnixStream> server = listener.accept(5000);
+  ASSERT_TRUE(server.has_value());
+  server->write_line("error bye");
+  // A Unix-socket send lands in the peer's receive queue before it
+  // returns, so this request is queued and never read.
+  client.write_line("submit late");
+  server->close_gracefully();
+
+  std::string line;
+  ASSERT_EQ(client.read_line(line, 5000), UnixStream::ReadStatus::kLine);
+  EXPECT_EQ(line, "error bye");
+  EXPECT_EQ(client.read_line(line, 5000), UnixStream::ReadStatus::kEof);
+  EXPECT_THROW(client.write_line("ping"), std::runtime_error);
+}
+
 // --- the crash-safety acceptance bar --------------------------------------
 
 TEST_F(SweepServiceTest, StopAndRestartResumesJournaledSweepBitIdentically) {
-  // 320 trials = 5 chunks of 64.  The stop lands after the first
-  // checkpoint; at worst the chunk already claimed still finishes, which
-  // leaves at least three chunks unrun — the interrupt cannot be outrun.
+  // 320 trials = 5 chunks of 64 on the sweep's single thread.  The stop
+  // fires inside the first checkpoint, before the next chunk is claimed:
+  // the sweep is interrupted with one chunk journaled and four left to
+  // resume, however fast it runs.
   const cli::SweepSpec spec = small_spec(909, /*trials=*/320);
   const std::uint64_t fp = cli::sweep_fingerprint(spec);
 
   {
     SweepService service(config());
+    service.stop_at_next_checkpoint();
     service.start();
     SweepClient client = SweepClient::connect(config().socket_path);
     Event e = client.submit(cli::format_sweep_spec(spec));
     ASSERT_EQ(e.kind, Event::Kind::kAck);
-    // Wait for the first checkpoint so the stop interrupts a sweep with
-    // real journaled progress to resume.
     e = client.next_event();
     ASSERT_EQ(e.kind, Event::Kind::kProgress);
-
-    service.stop();
+    EXPECT_EQ(e.chunks_done, 1u);
+    ASSERT_TRUE(wait_for([&] { return service.stopped(); }))
+        << "the first checkpoint did not stop the service";
     service.join();
     // The interrupted request survives as durable state.
     EXPECT_TRUE(std::filesystem::exists(service.pending_path(fp)));
