@@ -25,11 +25,12 @@ inline void announce_winners(sim::BatchContext& ctx,
   }
 }
 
-/// kScalarOrder intent emit on the AVX-512 lane block: every live node
-/// clears its winner plane and beeps in the lanes that
-/// `draw(block, row, live)` fires, where `row` is the node's per-lane
-/// exponent row.  The lane streams are copied into the block for the
-/// sweep and back after it, so the draws are exactly the per-lane loop's.
+/// kScalarOrder intent emit on the lane block (eight lanes per AVX-512 op
+/// where the host has it): every live node clears its winner plane and
+/// beeps in the lanes that `draw(block, row, live)` fires, where `row` is
+/// the node's per-lane exponent row.  The lane streams are copied into the
+/// block for the sweep and back after it, so the draws are exactly those
+/// of one bernoulli_pow2 per live lane on ctx.rng(l).
 template <typename Exponent, typename Draw>
 void emit_intent_on_lane_block(sim::BatchContext& ctx, std::vector<sim::LaneMask>& winner,
                                const std::vector<Exponent>& exponents, Draw draw) {

@@ -22,7 +22,6 @@ void BatchExactLocalFeedbackMis::reset(const graph::Graph& g,
   const graph::NodeId n = g.node_count();
   lanes_ = static_cast<unsigned>(rngs.size());
   winner_.assign(n, 0);
-  lane_block_ = support::LaneBlock::supported();
   if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
     eplanes_.reset(n, kExpWidth, 1);
     exponent_.clear();
@@ -55,27 +54,12 @@ void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
         const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
         if (beeps) ctx.beep(v, beeps);
       }
-    } else if (lane_block_) {
-      // The same draws, eight lanes per AVX-512 op.
+    } else {
       batch_skeleton::emit_intent_on_lane_block(
           ctx, winner_, exponent_,
           [](support::LaneBlock& block, const std::uint32_t* k, LaneMask live) {
             return block.draw_pow2(k, live, 1074);
           });
-    } else {
-      for (const graph::NodeId v : ctx.active_nodes()) {
-        const LaneMask live = ctx.live_mask(v);
-        if (!live) continue;
-        winner_[v] = 0;
-        const std::uint32_t* ev = &exponent_[static_cast<std::size_t>(v) * lanes_];
-        LaneMask beeps = 0;
-        for (LaneMask b = live; b != 0; b &= b - 1) {
-          const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-          const unsigned k = std::min<std::uint32_t>(ev[l], 1074);
-          beeps |= static_cast<LaneMask>(ctx.rng(l).bernoulli_pow2(k)) << l;
-        }
-        if (beeps) ctx.beep(v, beeps);
-      }
     }
   } else {
     batch_skeleton::announce_winners(ctx, winner_);

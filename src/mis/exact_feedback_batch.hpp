@@ -41,9 +41,6 @@ class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
  private:
   sim::BatchRngMode mode_ = sim::BatchRngMode::kScalarOrder;
   unsigned lanes_ = 0;
-  /// kScalarOrder draws run on the AVX-512 lane block when the host
-  /// supports it (chosen at reset); the per-lane loop is the fallback.
-  bool lane_block_ = false;
   std::vector<sim::LaneMask> winner_;
   /// Node-major per-lane exponents n(v, t): lane l of node v at
   /// [v * lanes_ + l].  uint32 like the scalar protocol's (the round cap

@@ -52,7 +52,6 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
 
   unsigned k0 = 0;
   unsigned k_cap = 0;
-  lane_block_ = support::LaneBlock::supported();
   dyadic_ = !hetero_p && !hetero_factor && config_.factor_low == 2.0 &&
             negative_pow2_exponent(config_.initial_p_low, &k0) &&
             negative_pow2_exponent(config_.max_p, &k_cap);
@@ -112,30 +111,14 @@ void BatchLocalFeedbackMis::reset_lane_probability(graph::NodeId v, unsigned lan
 }
 
 void BatchLocalFeedbackMis::emit_intent_dyadic(sim::BatchContext& ctx) {
-  if (lane_block_) {
-    // Same draws, eight lanes per AVX-512 op.
-    batch_skeleton::emit_intent_on_lane_block(
-        ctx, winner_, k_, [](support::LaneBlock& block, const std::uint16_t* k, LaneMask live) {
-          return block.draw_pow2(k, live);
-        });
-    return;
-  }
-  for (const graph::NodeId v : ctx.active_nodes()) {
-    const LaneMask live = ctx.live_mask(v);
-    if (!live) continue;
-    winner_[v] = 0;
-    const std::uint16_t* kv = &k_[static_cast<std::size_t>(v) * lanes_];
-    LaneMask beeps = 0;
-    for (LaneMask b = live; b != 0; b &= b - 1) {
-      const unsigned l = lowest_lane(b);
-      // One rng() output per draw, exactly like the scalar bernoulli; the
-      // endpoint behaviour (subnormal region, 2^-1075 underflow to
-      // never-beep) is single-sourced in bernoulli_pow2, and the lane
-      // block's draw_pow2 is pinned to it.
-      beeps |= static_cast<LaneMask>(ctx.rng(l).bernoulli_pow2(kv[l])) << l;
-    }
-    if (beeps) ctx.beep(v, beeps);
-  }
+  // One rng() output per draw, exactly like the scalar bernoulli; the
+  // endpoint behaviour (subnormal region, 2^-1075 underflow to
+  // never-beep) is single-sourced in bernoulli_pow2, and the lane block's
+  // SIMD draw is pinned to it.
+  batch_skeleton::emit_intent_on_lane_block(
+      ctx, winner_, k_, [](support::LaneBlock& block, const std::uint16_t* k, LaneMask live) {
+        return block.draw_pow2(k, live);
+      });
 }
 
 void BatchLocalFeedbackMis::emit_intent_dyadic_planes(sim::BatchContext& ctx) {
@@ -222,11 +205,7 @@ void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
     if (dyadic_) {
       // Exponent form of the feedback rule: /2 is k+1 (sticking at exact
       // zero), *2-capped-at-max_p is k-1 floored at k_min.
-      if (lane_block_) {
-        support::LaneBlock::feedback_pow2(&k_[base], live, heard, k_min_);
-      } else {
-        support::LaneBlock::feedback_pow2_reference(&k_[base], live, heard, k_min_);
-      }
+      support::LaneBlock::feedback_pow2(&k_[base], live, heard, k_min_);
       continue;
     }
     // Local feedback with the scalar expressions so the doubles stay

@@ -70,10 +70,6 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
   // free of double multiplies.  Pinned against the scalar core by
   // tests/test_batch_sim.cpp.
   bool dyadic_ = false;
-  /// kScalarOrder dyadic draws and feedback run on the AVX-512 lane block
-  /// (support/lane_block.hpp) when the host supports it; chosen at reset.
-  /// The per-lane loops are the fallback and give the same bits.
-  bool lane_block_ = false;
   std::uint16_t k_min_ = 1;    ///< exponent of max_p (cap on silence)
   std::uint16_t k_reset_ = 1;  ///< exponent of min(initial_p_low, max_p)
   std::vector<std::uint16_t> k_;  ///< node-major per-lane exponents (kScalarOrder)

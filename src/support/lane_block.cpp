@@ -1,5 +1,8 @@
 #include "support/lane_block.hpp"
 
+#include <bit>
+#include <limits>
+
 #if defined(__x86_64__)
 #if defined(__GNUC__) && !defined(__clang__)
 // GCC 12's AVX-512 intrinsics seed their results from an intentionally
@@ -41,18 +44,36 @@ void LaneBlock::store(unsigned lane, Xoshiro256StarStar& rng) const noexcept {
   rng.set_state({s_[0][lane], s_[1][lane], s_[2][lane], s_[3][lane]});
 }
 
+namespace {
+
+using States = std::uint64_t[4][LaneBlock::kLanes];
+
+/// The portable body: Xoshiro256StarStar::bernoulli_pow2 on each live
+/// lane's block state.  `k` is K[] and each exponent is clamped at `cap`.
+template <typename K>
+std::uint64_t draw_pow2_per_lane(States& s, const K* k, std::uint64_t live,
+                                 std::uint32_t cap) noexcept {
+  std::uint64_t fire = 0;
+  for (std::uint64_t b = live; b != 0; b &= b - 1) {
+    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+    Xoshiro256StarStar rng;
+    rng.set_state({s[0][l], s[1][l], s[2][l], s[3][l]});
+    const unsigned kl = k[l] < cap ? k[l] : cap;
+    fire |= static_cast<std::uint64_t>(rng.bernoulli_pow2(kl)) << l;
+    for (unsigned i = 0; i < 4; ++i) s[i][l] = rng.state()[i];
+  }
+  return fire;
+}
+
 #ifdef BEEPMIS_LANE_BLOCK_X86
 
 #define BEEPMIS_AVX512 [[gnu::target("avx512f,avx512bw,avx512vl")]]
-
-namespace {
 
 /// One xoshiro256** step of the eight lanes [8g, 8g + 8) whose bits are set
 /// in `m`, followed by the bernoulli_pow2 test against exponents `k`
 /// (already widened to 64 bits).  Returns the fire mask of those lanes;
 /// lanes outside `m` keep their state.
-BEEPMIS_AVX512 inline __mmask8 step8(std::uint64_t (&s)[4][LaneBlock::kLanes], unsigned g,
-                                     __mmask8 m, __m512i k) noexcept {
+BEEPMIS_AVX512 inline __mmask8 step8(States& s, unsigned g, __mmask8 m, __m512i k) noexcept {
   const unsigned o = 8 * g;
   __m512i s0 = _mm512_load_si512(&s[0][o]);
   __m512i s1 = _mm512_load_si512(&s[1][o]);
@@ -85,40 +106,37 @@ BEEPMIS_AVX512 inline __mmask8 step8(std::uint64_t (&s)[4][LaneBlock::kLanes], u
                                       _mm512_setzero_si512());
 }
 
-}  // namespace
-
-BEEPMIS_AVX512 std::uint64_t LaneBlock::draw_pow2(const std::uint16_t* k,
-                                                  std::uint64_t live) noexcept {
+BEEPMIS_AVX512 std::uint64_t draw_pow2_avx512(States& s, const std::uint16_t* k,
+                                              std::uint64_t live) noexcept {
   std::uint64_t fire = 0;
-  for (unsigned g = 0; g < kLanes / 8; ++g) {
+  for (unsigned g = 0; g < LaneBlock::kLanes / 8; ++g) {
     const auto m = static_cast<__mmask8>(live >> (8 * g));
     if (!m) continue;
     // Masked load: no read past the node's live lanes.
     const __m512i kg = _mm512_cvtepu16_epi64(_mm_maskz_loadu_epi16(m, k + 8 * g));
-    fire |= static_cast<std::uint64_t>(step8(s_, g, m, kg)) << (8 * g);
+    fire |= static_cast<std::uint64_t>(step8(s, g, m, kg)) << (8 * g);
   }
   return fire;
 }
 
-BEEPMIS_AVX512 std::uint64_t LaneBlock::draw_pow2(const std::uint32_t* k, std::uint64_t live,
-                                                  std::uint32_t cap) noexcept {
+BEEPMIS_AVX512 std::uint64_t draw_pow2_avx512(States& s, const std::uint32_t* k,
+                                              std::uint64_t live, std::uint32_t cap) noexcept {
   const __m512i capv = _mm512_set1_epi64(cap);
   std::uint64_t fire = 0;
-  for (unsigned g = 0; g < kLanes / 8; ++g) {
+  for (unsigned g = 0; g < LaneBlock::kLanes / 8; ++g) {
     const auto m = static_cast<__mmask8>(live >> (8 * g));
     if (!m) continue;
     const __m512i kg = _mm512_min_epu64(
         _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(m, k + 8 * g)), capv);
-    fire |= static_cast<std::uint64_t>(step8(s_, g, m, kg)) << (8 * g);
+    fire |= static_cast<std::uint64_t>(step8(s, g, m, kg)) << (8 * g);
   }
   return fire;
 }
 
-BEEPMIS_AVX512 void LaneBlock::feedback_pow2(std::uint16_t* k, std::uint64_t live,
-                                             std::uint64_t heard,
-                                             std::uint16_t k_min) noexcept {
+BEEPMIS_AVX512 void feedback_pow2_avx512(std::uint16_t* k, std::uint64_t live,
+                                         std::uint64_t heard, std::uint16_t k_min) noexcept {
   const __m512i one = _mm512_set1_epi16(1);
-  const __m512i zero_exp = _mm512_set1_epi16(static_cast<short>(kZeroExponent));
+  const __m512i zero_exp = _mm512_set1_epi16(static_cast<short>(LaneBlock::kZeroExponent));
   const __m512i floor = _mm512_set1_epi16(static_cast<short>(k_min));
   for (unsigned h = 0; h < 2; ++h) {
     const auto m = static_cast<__mmask32>(live >> (32 * h));
@@ -135,20 +153,31 @@ BEEPMIS_AVX512 void LaneBlock::feedback_pow2(std::uint16_t* k, std::uint64_t liv
   }
 }
 
-#else  // !BEEPMIS_LANE_BLOCK_X86: supported() is false, so these are never called.
+#endif  // BEEPMIS_LANE_BLOCK_X86
 
-std::uint64_t LaneBlock::draw_pow2(const std::uint16_t*, std::uint64_t) noexcept {
-  __builtin_trap();
-}
-std::uint64_t LaneBlock::draw_pow2(const std::uint32_t*, std::uint64_t,
-                                   std::uint32_t) noexcept {
-  __builtin_trap();
-}
-void LaneBlock::feedback_pow2(std::uint16_t*, std::uint64_t, std::uint64_t,
-                              std::uint16_t) noexcept {
-  __builtin_trap();
-}
+}  // namespace
 
+std::uint64_t LaneBlock::draw_pow2(const std::uint16_t* k, std::uint64_t live) noexcept {
+#ifdef BEEPMIS_LANE_BLOCK_X86
+  if (supported()) return draw_pow2_avx512(s_, k, live);
 #endif
+  return draw_pow2_per_lane(s_, k, live, std::numeric_limits<std::uint16_t>::max());
+}
+
+std::uint64_t LaneBlock::draw_pow2(const std::uint32_t* k, std::uint64_t live,
+                                   std::uint32_t cap) noexcept {
+#ifdef BEEPMIS_LANE_BLOCK_X86
+  if (supported()) return draw_pow2_avx512(s_, k, live, cap);
+#endif
+  return draw_pow2_per_lane(s_, k, live, cap);
+}
+
+void LaneBlock::feedback_pow2(std::uint16_t* k, std::uint64_t live, std::uint64_t heard,
+                              std::uint16_t k_min) noexcept {
+#ifdef BEEPMIS_LANE_BLOCK_X86
+  if (supported()) return feedback_pow2_avx512(k, live, heard, k_min);
+#endif
+  feedback_pow2_reference(k, live, heard, k_min);
+}
 
 }  // namespace beepmis::support

@@ -19,11 +19,12 @@
 //    the k > k_min floor as compare masks.
 //
 // Both are bit-identical to the per-lane reference (bernoulli_pow2 per
-// lane, feedback_pow2_reference below), which stays the portable
-// fallback; tests/test_lane_block.cpp pins them to it.  The SIMD code
-// needs avx512f, avx512bw and avx512vl, compiled per function with
-// [[gnu::target]]; callers choose once per run with supported().  On
-// non-x86 builds only the reference exists and supported() is false.
+// lane, feedback_pow2_reference below); tests/test_lane_block.cpp pins
+// them to it.  The SIMD bodies need avx512f, avx512bw and avx512vl,
+// compiled per function with [[gnu::target]]; the choice between them and
+// the per-lane reference is made here, from supported() (checked once per
+// process), so callers always call draw_pow2 and feedback_pow2.  Non-x86
+// builds compile only the reference.
 #pragma once
 
 #include <bit>
@@ -42,7 +43,7 @@ class LaneBlock {
   static constexpr std::uint16_t kZeroExponent = 1075;
 
   /// True when the host CPU has avx512f, avx512bw and avx512vl (checked
-  /// once per process).  Without them the SIMD members must not be called.
+  /// once per process), i.e. when the members below run the SIMD bodies.
   [[nodiscard]] static bool supported() noexcept;
   /// The first required feature the host lacks ("" when supported()).
   [[nodiscard]] static std::string_view missing_feature() noexcept;
@@ -59,7 +60,7 @@ class LaneBlock {
   [[nodiscard]] std::uint64_t draw_pow2(const std::uint32_t* k, std::uint64_t live,
                                         std::uint32_t cap) noexcept;
 
-  /// SIMD twin of feedback_pow2_reference.
+  /// feedback_pow2_reference, 32 lanes per op when supported().
   static void feedback_pow2(std::uint16_t* k, std::uint64_t live, std::uint64_t heard,
                             std::uint16_t k_min) noexcept;
 

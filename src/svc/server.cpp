@@ -243,12 +243,13 @@ void SweepService::recover_pending() {
 }
 
 void SweepService::drain() {
+  // Under the registry lock, which submits read the phase under: no submit
+  // can slip between its phase check and its queue_.push after the queue
+  // closes, and none sees kDraining before draining_ is set.
+  const std::lock_guard<std::mutex> lock(registry_m_);
   int expected = kRunning;
   if (!phase_.compare_exchange_strong(expected, kDraining)) return;
   draining_.store(true);
-  // Under the registry lock so no submit can slip between the phase check
-  // and its queue_.push after the queue closes.
-  const std::lock_guard<std::mutex> lock(registry_m_);
   queue_.close();
 }
 
@@ -262,8 +263,6 @@ void SweepService::stop() {
   const std::lock_guard<std::mutex> lock(registry_m_);
   queue_.shutdown_now();
 }
-
-void SweepService::stop_at_next_checkpoint() { stop_at_checkpoint_.store(true); }
 
 void SweepService::pause_dispatch() { queue_.pause(); }
 
@@ -304,13 +303,12 @@ void SweepService::worker_loop() {
 void SweepService::run_job(const std::shared_ptr<Job>& job) {
   cli::SweepHooks hooks;
   hooks.stop_request = stop_flag_;
-  hooks.on_checkpoint = [this, job](std::size_t chunks) {
+  hooks.on_checkpoint = [job](std::size_t chunks) {
     {
       const std::lock_guard<std::mutex> lock(job->m);
       job->chunks_done = chunks;
     }
     job->cv.notify_all();
-    if (stop_at_checkpoint_.exchange(false)) stop();
   };
 
   harness::TrialStats stats;

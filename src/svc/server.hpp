@@ -96,13 +96,6 @@ class SweepService {
   /// Returns immediately; join() waits.
   void stop();
 
-  /// stop() from inside the next checkpoint of a running sweep, before
-  /// its worker claims another chunk: a single-threaded sweep then stops
-  /// after exactly that chunk, however fast it runs.  For in-process
-  /// callers that need a deterministic mid-sweep stop (tests); no wire
-  /// verb.
-  void stop_at_next_checkpoint();
-
   /// Joins all service threads.  Call after drain() or stop().
   void join();
 
@@ -174,7 +167,6 @@ class SweepService {
   ServiceConfig config_;
   std::atomic<int> phase_{kIdle};
   std::atomic<bool> draining_{false};  ///< drain() requested the wind-down
-  std::atomic<bool> stop_at_checkpoint_{false};  ///< see stop_at_next_checkpoint()
   std::shared_ptr<std::atomic<bool>> stop_flag_;
   JobQueue queue_;
   std::unique_ptr<UnixListener> listener_;

@@ -585,25 +585,27 @@ TEST_F(SweepServiceTest, GracefulCloseKeepsTheLastReplyReadable) {
 // --- the crash-safety acceptance bar --------------------------------------
 
 TEST_F(SweepServiceTest, StopAndRestartResumesJournaledSweepBitIdentically) {
-  // 320 trials = 5 chunks of 64 on the sweep's single thread.  The stop
-  // fires inside the first checkpoint, before the next chunk is claimed:
-  // the sweep is interrupted with one chunk journaled and four left to
-  // resume, however fast it runs.
-  const cli::SweepSpec spec = small_spec(909, /*trials=*/320);
+  // 1024 trials = 16 chunks of 64 on the sweep's single thread, on a graph
+  // large enough that the fifteen chunks after the first checkpoint take
+  // hundreds of milliseconds: far longer than the progress line takes to
+  // reach this thread and its stop() to reach the worker, which stops
+  // claiming chunks at once.  The stop interrupts a sweep with real
+  // journaled progress and most of its chunks left to resume.
+  cli::SweepSpec spec = small_spec(909, /*trials=*/1024);
+  spec.graph.n = 10000;
+  spec.graph.p = 0.0006;
   const std::uint64_t fp = cli::sweep_fingerprint(spec);
 
   {
     SweepService service(config());
-    service.stop_at_next_checkpoint();
     service.start();
     SweepClient client = SweepClient::connect(config().socket_path);
     Event e = client.submit(cli::format_sweep_spec(spec));
     ASSERT_EQ(e.kind, Event::Kind::kAck);
     e = client.next_event();
     ASSERT_EQ(e.kind, Event::Kind::kProgress);
-    EXPECT_EQ(e.chunks_done, 1u);
-    ASSERT_TRUE(wait_for([&] { return service.stopped(); }))
-        << "the first checkpoint did not stop the service";
+
+    service.stop();
     service.join();
     // The interrupted request survives as durable state.
     EXPECT_TRUE(std::filesystem::exists(service.pending_path(fp)));
