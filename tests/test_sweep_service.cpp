@@ -535,9 +535,12 @@ TEST_F(SweepServiceTest, ExitedDaemonLeavesEveryConnectionARefusal) {
 TEST_F(SweepServiceTest, ClosedConnectionsReleaseTheirThreads) {
   // Each connection runs on its own thread, and an exited thread keeps its
   // stack mapped until it is joined.  The listener joins the threads of
-  // closed connections, so after many short-lived clients the process
-  // holds no more mappings than before them (this used to grow by two
-  // per connection until the daemon exited).  Linux: counts
+  // closed connections, so many short-lived clients leave the process's
+  // mappings about flat (without the join they grow by two per
+  // connection until the daemon exits: +400 here).  A first batch of
+  // connections lets the allocator and any sanitizer runtime map their
+  // per-thread bookkeeping before the baseline is taken; TSan's still
+  // adds a few dozen mappings per 200 threads after that.  Linux: counts
   // /proc/self/maps lines.
   const auto mappings = [] {
     std::ifstream maps("/proc/self/maps");
@@ -547,16 +550,16 @@ TEST_F(SweepServiceTest, ClosedConnectionsReleaseTheirThreads) {
   SweepService service(config());
   service.start();
   const std::string socket = config().socket_path;
-  {
-    SweepClient warm = SweepClient::connect(socket);
-    ASSERT_TRUE(warm.ping());
-  }
+  const auto connect_200 = [&] {
+    for (int i = 0; i < 200; ++i) {
+      SweepClient client = SweepClient::connect(socket);
+      ASSERT_TRUE(client.ping());
+    }
+  };
+  connect_200();
   const auto before = mappings();
-  for (int i = 0; i < 200; ++i) {
-    SweepClient client = SweepClient::connect(socket);
-    ASSERT_TRUE(client.ping());
-  }
-  EXPECT_TRUE(wait_for([&] { return mappings() <= before + 32; }))
+  connect_200();
+  EXPECT_TRUE(wait_for([&] { return mappings() <= before + 100; }))
       << before << " mappings before 200 connections, " << mappings() << " after";
 }
 
