@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/runner.hpp"
 #include "graph/generators.hpp"
 #include "mis/exact_feedback.hpp"
 #include "mis/global_schedule.hpp"
@@ -84,9 +85,9 @@ struct Measurement {
 
 using benchcommon::best_wall_ms;
 
-/// Per-trial run RNG, matching harness::run_beep_trials' seed tree.
+/// Per-trial run RNG: the harness's own seed-tree node for the trial.
 support::Xoshiro256StarStar trial_rng(const support::SeedSequence& root, std::size_t trial) {
-  return root.child(trial).child(1).generator();
+  return support::Xoshiro256StarStar(harness::trial_run_seed(root.value(), trial));
 }
 
 benchcommon::JsonReport make_report(const std::vector<Measurement>& results,

@@ -1,14 +1,18 @@
-// beepmis_cli: run any registered MIS algorithm on any registered graph
-// family, with optional trials, fault injection, trace/DOT output.
+// beepmis_cli: run trials of any registered MIS algorithm on any registered
+// graph family.  Every run — beeping or LOCAL model, one trial or many —
+// is a cli::run_sweep request: trial t draws from the --seed seed tree
+// (harness::trial_run_seed), the batched and sharded fast paths engage as
+// harness::plan_execution routes them, and the aggregate prints as
+// human-readable means plus bit-exact `stats_bits` lines (or, with --csv,
+// as one CSV header and one aggregate row).
 //
 //   ./beepmis_cli --graph=gnp --n=200 --p=0.5 --algorithm=local-feedback
 //   ./beepmis_cli --graph=grid --rows=16 --cols=16 --trials=50 --csv
 //   ./beepmis_cli --graph=gnp --algorithm=luby --trials=20
+//   ./beepmis_cli --graph=gnp --n=50 --dot-out=mis.dot   # trial 0's MIS as DOT
 //   ./beepmis_cli --list
 //
-// Crash-safe sweep mode (any of --journal/--resume/--budget/--trial-timeout/
-// --isolate-faults routes --trials through the checkpointing harness; see
-// src/exp/README.md):
+// Crash-safe sweeps (see src/exp/README.md):
 //   ./beepmis_cli --graph=gnp --n=400 --trials=512 --journal=sweep.journal
 //   ./beepmis_cli ... --journal=sweep.journal --resume     # after a crash
 //   ./beepmis_cli ... --budget=30                          # honest partial answer
@@ -17,17 +21,19 @@
 // beepmisd service accepts over its socket):
 //   ./beepmis_cli --spec='sweepspec v3 graph=gnp graph.n=400 trials=512'
 //   ./beepmis_cli --graph=gnp --trials=512 --print-spec    # flags -> canonical line
+//
+// Exit codes: 0 complete and valid, 1 invalid MIS results or a bad flag,
+// 2 quarantined trials, 3 truncated (partial but resumable).
 #include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 
 #include "cli/registry.hpp"
 #include "cli/sweep_spec.hpp"
 #include "graph/io.hpp"
-#include "graph/properties.hpp"
-#include "mis/verifier.hpp"
 #include "support/hash.hpp"
 #include "support/options.hpp"
 #include "support/stats.hpp"
@@ -47,6 +53,14 @@ void print_stats_bits(const char* name, const beepmis::support::RunningStats& s)
             << to_hex_u64(std::bit_cast<std::uint64_t>(st.m2)) << ' '
             << to_hex_u64(std::bit_cast<std::uint64_t>(st.min)) << ' '
             << to_hex_u64(std::bit_cast<std::uint64_t>(st.max)) << '\n';
+}
+
+/// A count flag, range-checked for its destination type; throws
+/// std::invalid_argument naming the flag.
+template <typename T>
+T count_flag(const beepmis::support::Options& options, const std::string& name) {
+  return static_cast<T>(beepmis::cli::parse_count_flag("--" + name, options.get(name),
+                                                       std::numeric_limits<T>::max()));
 }
 
 }  // namespace
@@ -69,7 +83,7 @@ int main(int argc, char** argv) {
               "write the requested graph as an on-disk BMCSR file to this path and "
               "exit (streaming, bounded memory, for streamable families)");
   options.add("graph-seed", "1", "graph generation seed");
-  options.add("seed", "1", "algorithm seed (first trial; trial t uses seed + t)");
+  options.add("seed", "1", "sweep base seed (trial t's seed is node t of its seed tree)");
   options.add("trials", "1", "number of runs (same graph, different seeds)");
   options.add("loss", "0", "beep loss probability (beeping algorithms)");
   options.add("shards", "1",
@@ -91,9 +105,7 @@ int main(int argc, char** argv) {
   options.add("scenario-seed", "1", "scenario rng seed");
   options.add("run-until", "0", "keep simulating until at least this round");
   options.add("track-recovery", "false", "collect recovery-time SLA samples");
-  options.add("journal", "",
-              "crash-safe sweep mode: checkpoint per-chunk aggregates to this file "
-              "(per-trial seeds come from the --seed seed tree, not seed + t)");
+  options.add("journal", "", "checkpoint per-chunk aggregates to this file (crash-safe)");
   options.add("resume", "false", "load --journal and skip its completed chunks");
   options.add("budget", "0",
               "sweep wall-clock budget in seconds (0 = unlimited); on expiry the "
@@ -110,9 +122,8 @@ int main(int argc, char** argv) {
   options.add("print-spec", "false",
               "print the canonical serialized spec and fingerprint for the given "
               "flags (or --spec) instead of running");
-  options.add("dot-out", "", "write DOT with highlighted MIS to this file (trial 0)");
-  options.add("edge-list", "", "read the graph from an edge-list file instead");
-  options.add("csv", "false", "print one CSV row per trial");
+  options.add("dot-out", "", "write DOT with trial 0's MIS highlighted to this file");
+  options.add("csv", "false", "print the aggregate as one CSV header and row");
   options.add("list", "false", "list graph families and algorithms");
   if (!options.parse(argc, argv)) {
     std::cerr << options.error() << '\n' << options.usage("beepmis_cli");
@@ -131,137 +142,105 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Build or load the graph.
-  cli::GraphSpec gspec;
-  gspec.family = options.get("graph");
-  gspec.n = static_cast<graph::NodeId>(options.get_int("n"));
-  gspec.p = options.get_double("p");
-  gspec.rows = static_cast<graph::NodeId>(options.get_int("rows"));
-  gspec.cols = static_cast<graph::NodeId>(options.get_int("cols"));
-  gspec.k = static_cast<graph::NodeId>(options.get_int("k"));
-  gspec.seed = options.get_u64("graph-seed");
-  if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
-    gspec.family = "file";
-    gspec.path = graph_file;
-  }
+  try {
+    // The request: a serialized spec, or the individual flags.
+    cli::SweepSpec spec;
+    if (const std::string text = options.get("spec"); !text.empty()) {
+      spec = cli::parse_sweep_spec(text);
+    } else {
+      cli::GraphSpec& gspec = spec.graph;
+      gspec.family = options.get("graph");
+      gspec.n = count_flag<graph::NodeId>(options, "n");
+      gspec.p = options.get_double("p");
+      gspec.rows = count_flag<graph::NodeId>(options, "rows");
+      gspec.cols = count_flag<graph::NodeId>(options, "cols");
+      gspec.k = count_flag<graph::NodeId>(options, "k");
+      gspec.seed = options.get_u64("graph-seed");
+      if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
+        gspec.family = "file";
+        gspec.path = graph_file;
+      }
 
-  // Save-graph mode: materialise the workload as an on-disk BMCSR file and
-  // exit.  Streamable families (and edge-list text inputs) go through the
-  // bounded-memory streaming writer; the rest build in RAM first.
-  if (const std::string save_path = options.get("save-graph"); !save_path.empty()) {
-    try {
+      cli::AlgorithmSpec& aspec = spec.algorithm;
+      aspec.name = options.get("algorithm");
+      aspec.sim.beep_loss_probability = options.get_double("loss");
+      aspec.sim.mis_keepalive = options.get_bool("keepalive");
+      aspec.sim.max_rounds = count_flag<std::size_t>(options, "max-rounds");
+      aspec.factor = options.get_double("factor");
+      aspec.initial_p = options.get_double("initial-p");
+      aspec.shards = count_flag<unsigned>(options, "shards");
+      aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
+      aspec.sim.run_until_round = count_flag<std::size_t>(options, "run-until");
+      aspec.sim.track_recovery = options.get_bool("track-recovery");
+      aspec.scenario.name = options.get("scenario");
+      aspec.scenario.rate = options.get_double("scenario-rate");
+      aspec.scenario.round_lo = count_flag<std::uint32_t>(options, "scenario-lo");
+      aspec.scenario.round_hi = count_flag<std::uint32_t>(options, "scenario-hi");
+      aspec.scenario.budget = count_flag<std::size_t>(options, "scenario-budget");
+      aspec.scenario.seed = options.get_u64("scenario-seed");
+
+      spec.trials = count_flag<std::size_t>(options, "trials");
+      spec.base_seed = options.get_u64("seed");
+      spec.threads = count_flag<unsigned>(options, "threads");
+      spec.journal_path = options.get("journal");
+      spec.resume = options.get_bool("resume");
+      spec.budget_seconds = cli::parse_seconds_flag("--budget", options.get("budget"));
+      spec.trial_timeout_seconds =
+          cli::parse_seconds_flag("--trial-timeout", options.get("trial-timeout"));
+      spec.isolate_faults = options.get_bool("isolate-faults");
+      spec.max_retries = count_flag<unsigned>(options, "max-retries");
+      spec.checkpoint_interval = count_flag<std::size_t>(options, "checkpoint-interval");
+    }
+
+    // Save-graph mode: materialise the workload as an on-disk BMCSR file
+    // and exit.  Streamable families (and edge-list text inputs) go through
+    // the bounded-memory streaming writer; the rest build in RAM first.
+    if (const std::string save_path = options.get("save-graph"); !save_path.empty()) {
       try {
-        const cli::GraphStream gs = cli::make_graph_stream(gspec);
+        const cli::GraphStream gs = cli::make_graph_stream(spec.graph);
         const graph::StreamCsrStats stats =
             graph::write_csr_file_streaming(gs.node_count, gs.stream, save_path);
         std::cout << "saved " << save_path << ": n=" << gs.node_count
                   << " adjacency=" << stats.adjacency_count << " (streamed, "
                   << stats.stream_passes << " passes)\n";
       } catch (const std::invalid_argument&) {
-        const graph::Graph built = cli::make_graph(gspec);
+        const graph::Graph built = cli::make_graph(spec.graph);
         graph::write_csr_file(built, save_path);
         std::cout << "saved " << save_path << ": " << built.describe() << " (in-RAM build)\n";
       }
       return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "beepmis_cli: --save-graph: " << e.what() << '\n';
-      return 1;
     }
-  }
 
-  const std::string edge_list_path = options.get("edge-list");
-  graph::Graph g;
-  if (!edge_list_path.empty()) {
-    std::ifstream in(edge_list_path);
-    if (!in) {
-      std::cerr << "cannot open " << edge_list_path << '\n';
-      return 1;
+    if (options.get_bool("print-spec")) {
+      std::cout << cli::format_sweep_spec(spec) << '\n'
+                << "fingerprint " << support::to_hex_u64(cli::sweep_fingerprint(spec)) << '\n';
+      return 0;
     }
-    g = graph::read_edge_list(in);
-  } else {
-    try {
-      g = cli::make_graph(gspec);
-    } catch (const std::exception& e) {
-      std::cerr << "beepmis_cli: " << e.what() << '\n';
-      return 1;
+
+    const harness::TrialStats stats = cli::run_sweep(spec);
+
+    // Trial 0 re-run directly from its sweep seed: the same run the sweep
+    // aggregated, with its MIS kept for drawing.
+    if (const std::string dot = options.get("dot-out"); !dot.empty()) {
+      const graph::Graph g = cli::make_graph(spec.graph);
+      cli::AlgorithmSpec trial0 = spec.algorithm;
+      trial0.seed = harness::trial_run_seed(spec.base_seed, 0);
+      std::ofstream out(dot);
+      if (!out) throw std::runtime_error("--dot-out: cannot open " + dot);
+      graph::write_dot(out, g, cli::run_algorithm(trial0, g).mis());
     }
-  }
 
-  cli::AlgorithmSpec aspec;
-  aspec.name = options.get("algorithm");
-  aspec.sim.beep_loss_probability = options.get_double("loss");
-  aspec.sim.mis_keepalive = options.get_bool("keepalive");
-  aspec.sim.max_rounds = static_cast<std::size_t>(options.get_int("max-rounds"));
-  aspec.local_sim.max_rounds = aspec.sim.max_rounds;
-  aspec.factor = options.get_double("factor");
-  aspec.initial_p = options.get_double("initial-p");
-  aspec.shards = static_cast<unsigned>(options.get_int("shards"));
-  aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
-  aspec.sim.run_until_round = static_cast<std::size_t>(options.get_int("run-until"));
-  aspec.sim.track_recovery = options.get_bool("track-recovery");
-  aspec.scenario.name = options.get("scenario");
-  aspec.scenario.rate = options.get_double("scenario-rate");
-  aspec.scenario.round_lo = static_cast<std::uint32_t>(options.get_int("scenario-lo"));
-  aspec.scenario.round_hi = static_cast<std::uint32_t>(options.get_int("scenario-hi"));
-  aspec.scenario.budget = static_cast<std::size_t>(options.get_int("scenario-budget"));
-  aspec.scenario.seed = options.get_u64("scenario-seed");
-
-  std::size_t trials = 0;
-  try {
-    trials = cli::parse_count_flag("--trials", options.get("trials"));
-  } catch (const std::exception& e) {
-    std::cerr << "beepmis_cli: " << e.what() << '\n';
-    return 1;
-  }
-  const std::uint64_t seed0 = options.get_u64("seed");
-  const bool csv = options.get_bool("csv");
-
-  // Crash-safe sweep mode: any durability/robustness flag — or a serialized
-  // spec — routes the trial loop through the checkpointing harness instead
-  // of the legacy loop.
-  const std::string spec_text = options.get("spec");
-  const bool harness_mode = !spec_text.empty() || options.get_bool("print-spec") ||
-                            !options.get("journal").empty() || options.get_bool("resume") ||
-                            options.get("budget") != "0" ||
-                            options.get("trial-timeout") != "0" ||
-                            options.get_bool("isolate-faults");
-  if (harness_mode) {
-    try {
-      cli::SweepSpec spec;
-      if (!spec_text.empty()) {
-        spec = cli::parse_sweep_spec(spec_text);
-      } else {
-        if (!edge_list_path.empty()) {
-          throw std::invalid_argument(
-              "--journal/--budget sweeps need a generated graph spec (the journal's "
-              "request hash covers the graph parameters); --edge-list is unsupported");
-        }
-        spec.graph = gspec;
-        spec.algorithm = aspec;
-        spec.trials = trials;
-        spec.base_seed = seed0;
-        spec.threads = static_cast<unsigned>(
-            cli::parse_count_flag("--threads", options.get("threads")));
-        spec.journal_path = options.get("journal");
-        spec.resume = options.get_bool("resume");
-        spec.budget_seconds = cli::parse_seconds_flag("--budget", options.get("budget"));
-        spec.trial_timeout_seconds =
-            cli::parse_seconds_flag("--trial-timeout", options.get("trial-timeout"));
-        spec.isolate_faults = options.get_bool("isolate-faults");
-        spec.max_retries = static_cast<unsigned>(
-            cli::parse_count_flag("--max-retries", options.get("max-retries")));
-        spec.checkpoint_interval =
-            cli::parse_count_flag("--checkpoint-interval", options.get("checkpoint-interval"));
-      }
-      if (options.get_bool("print-spec")) {
-        std::cout << cli::format_sweep_spec(spec) << '\n'
-                  << "fingerprint " << support::to_hex_u64(cli::sweep_fingerprint(spec))
-                  << '\n';
-        return 0;
-      }
-
-      const harness::TrialStats stats = cli::run_sweep(spec);
-
+    if (options.get_bool("csv")) {
+      std::cout << "requested,completed,quarantined,resumed,truncated,terminated,valid,"
+                   "rounds_mean,rounds_stddev,beeps_per_node_mean,max_beeps_any_node_mean,"
+                   "mis_size_mean,message_bits_mean\n"
+                << stats.requested_trials << ',' << stats.trials << ',' << stats.quarantined
+                << ',' << stats.resumed_trials << ',' << (stats.truncated ? 1 : 0) << ','
+                << stats.terminated << ',' << stats.valid << ',' << stats.rounds.mean() << ','
+                << stats.rounds.stddev() << ',' << stats.beeps_per_node.mean() << ','
+                << stats.max_beeps_any_node.mean() << ',' << stats.mis_size.mean() << ','
+                << stats.message_bits.mean() << '\n';
+    } else {
       if (!stats.resume_discarded_reason.empty()) {
         std::cout << "journal rejected: " << stats.resume_discarded_reason << '\n';
       }
@@ -286,57 +265,13 @@ int main(int argc, char** argv) {
       std::cout << "counts_exact " << stats.trials << ' ' << stats.terminated << ' '
                 << stats.valid << ' ' << stats.independence_violations << ' '
                 << stats.uncovered_nodes << '\n';
-
-      // Exit codes: 0 complete-and-valid, 2 quarantined trials, 3 truncated
-      // (partial but resumable), 1 invalid MIS results.
-      if (stats.truncated) return 3;
-      if (stats.quarantined > 0) return 2;
-      return stats.valid == stats.trials ? 0 : 1;
-    } catch (const std::exception& e) {
-      std::cerr << "beepmis_cli: " << e.what() << '\n';
-      return 1;
-    }
-  }
-
-  if (!csv) {
-    std::cout << g.describe() << ", max degree " << g.max_degree() << ", algorithm "
-              << aspec.name << "\n";
-  } else {
-    std::cout << "trial,seed,rounds,terminated,valid,mis_size,beeps_per_node,message_bits\n";
-  }
-
-  support::RunningStats rounds, beeps, mis_size;
-  std::size_t valid = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    aspec.seed = seed0 + t;
-    const sim::RunResult result = cli::run_algorithm(aspec, g);
-    const mis::VerificationReport report = mis::verify_mis_run(g, result);
-    rounds.push(static_cast<double>(result.rounds));
-    beeps.push(result.mean_beeps_per_node());
-    mis_size.push(static_cast<double>(report.mis_size));
-    if (report.valid()) ++valid;
-
-    if (csv) {
-      std::cout << t << ',' << aspec.seed << ',' << result.rounds << ','
-                << (result.terminated ? 1 : 0) << ',' << (report.valid() ? 1 : 0) << ','
-                << report.mis_size << ',' << result.mean_beeps_per_node() << ','
-                << result.message_bits << '\n';
     }
 
-    if (t == 0) {
-      if (const std::string dot = options.get("dot-out"); !dot.empty()) {
-        std::ofstream out(dot);
-        const auto selected = result.mis();
-        graph::write_dot(out, g, selected);
-      }
-      if (!csv) std::cout << "trial 0: " << report.summary() << '\n';
-    }
+    if (stats.truncated) return 3;
+    if (stats.quarantined > 0) return 2;
+    return stats.valid == stats.trials ? 0 : 1;
+  } catch (const std::exception& e) {
+    std::cerr << "beepmis_cli: " << e.what() << '\n';
+    return 1;
   }
-
-  if (!csv) {
-    std::cout << "over " << trials << " trial(s): rounds " << rounds.mean() << " +/- "
-              << rounds.stddev() << ", beeps/node " << beeps.mean() << ", MIS size "
-              << mis_size.mean() << ", valid " << valid << "/" << trials << '\n';
-  }
-  return valid == trials ? 0 : 1;
 }

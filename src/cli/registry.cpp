@@ -1,23 +1,26 @@
 #include "cli/registry.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "cli/sweep_spec.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "support/hash.hpp"
 #include "mis/exact_feedback.hpp"
 #include "mis/global_schedule.hpp"
-#include "mis/mis.hpp"
+#include "mis/greedy_id.hpp"
+#include "mis/luby.hpp"
+#include "mis/luby_degree.hpp"
+#include "mis/metivier.hpp"
 #include "mis/pure_beep.hpp"
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
 #include "sim/sharded.hpp"
+#include "support/hash.hpp"
 
 namespace beepmis::cli {
 
@@ -201,9 +204,10 @@ sim::SimConfig beeping_sim_config(const AlgorithmSpec& spec) {
   return config;
 }
 
-/// Runs a shard-capable beeping protocol either scalar or sharded
-/// (AlgorithmSpec::shards >= 2).  The sharded path draws in scalar order,
-/// so both paths return bit-identical results.
+/// Runs a beeping protocol either scalar or sharded (AlgorithmSpec::shards
+/// >= 2).  The sharded path draws in scalar order, so both paths return
+/// bit-identical results; ShardedSimulator::run refuses a protocol without
+/// shard support.
 sim::RunResult run_beeping(const AlgorithmSpec& spec, const graph::Graph& g,
                            sim::BeepProtocol& protocol) {
   if (spec.shards >= 2) {
@@ -214,74 +218,128 @@ sim::RunResult run_beeping(const AlgorithmSpec& spec, const graph::Graph& g,
   return simulator.run(protocol, support::Xoshiro256StarStar(spec.seed));
 }
 
-}  // namespace
-
-sim::RunResult run_algorithm(const AlgorithmSpec& spec, const graph::Graph& g) {
-  if (spec.name == "local-feedback") {
-    mis::LocalFeedbackConfig config;
-    config.factor_low = config.factor_high = spec.factor;
-    config.initial_p_low = config.initial_p_high = spec.initial_p;
-    mis::LocalFeedbackMis protocol(config);
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "local-feedback-exact") {
-    mis::ExactLocalFeedbackMis protocol;
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "self-healing") {
-    mis::SelfHealingConfig config;
-    config.base.factor_low = config.base.factor_high = spec.factor;
-    config.base.initial_p_low = config.base.initial_p_high = spec.initial_p;
-    mis::SelfHealingLocalFeedbackMis protocol(config);
-    // Healing detects dominator death through keepalive silence; without
-    // keepalive the protocol never reactivates, so force it on.
-    AlgorithmSpec healing = spec;
-    healing.sim.mis_keepalive = true;
-    return run_beeping(healing, g, protocol);
-  }
-  if (spec.name == "pure-beep") {
-    if (spec.shards >= 2) {
-      throw std::invalid_argument(
-          "--shards: pure-beep has no sharded support (subslot exchanges draw "
-          "outside the skeleton contract)");
-    }
-    mis::PureBeepLocalFeedbackMis protocol(/*subslots=*/8, spec.factor);
-    sim::BeepSimulator simulator(g, beeping_sim_config(spec));
-    return simulator.run(protocol, support::Xoshiro256StarStar(spec.seed));
-  }
-  if (spec.name == "global-sweep") {
-    mis::GlobalScheduleMis protocol = mis::make_global_sweep_mis();
-    return run_beeping(spec, g, protocol);
-  }
-  if (spec.name == "global-increasing") {
-    // Parameterisation must match mis::run_global_increasing (mis.cpp),
-    // which this path mirrors so --shards can route through run_beeping.
-    mis::GlobalScheduleMis protocol =
-        mis::make_global_increasing_mis(g.max_degree(), g.node_count());
-    return run_beeping(spec, g, protocol);
-  }
+/// A LOCAL-model run's simulator config.  LocalSimulator has no sharded
+/// form and no fault injection, so those knobs are refused, not ignored.
+sim::LocalSimConfig local_sim_config(const AlgorithmSpec& spec) {
   if (spec.shards >= 2) {
-    throw std::invalid_argument("--shards is only supported by the shard-capable "
-                                "beeping algorithms (local-feedback, "
-                                "local-feedback-exact, self-healing, global-sweep, "
-                                "global-increasing); got: " + spec.name);
+    throw std::invalid_argument("--shards: LOCAL-model algorithm '" + spec.name +
+                                "' has no sharded simulator");
   }
   if (spec.scenario.name != "none") {
     throw std::invalid_argument(
         "--scenario: fault scenarios are a beeping-model feature; got LOCAL-model "
         "algorithm: " + spec.name);
   }
-  if (spec.name == "luby") return mis::run_luby(g, spec.seed, spec.local_sim);
-  if (spec.name == "luby-degree") return mis::run_luby_degree(g, spec.seed, spec.local_sim);
-  if (spec.name == "metivier") return mis::run_metivier(g, spec.seed, 0, spec.local_sim);
-  if (spec.name == "greedy-id") return mis::run_greedy_id(g, spec.local_sim);
-  throw std::invalid_argument("unknown algorithm: " + spec.name);
+  sim::LocalSimConfig config;
+  config.max_rounds = spec.sim.max_rounds;
+  return config;
+}
+
+/// The spec as `algorithm` runs it.
+AlgorithmSpec as_run(AlgorithmSpec spec, const Algorithm& algorithm) {
+  if (algorithm.forces_keepalive) spec.sim.mis_keepalive = true;
+  return spec;
+}
+
+mis::LocalFeedbackConfig local_feedback_config(const AlgorithmSpec& spec) {
+  mis::LocalFeedbackConfig config;
+  config.factor_low = config.factor_high = spec.factor;
+  config.initial_p_low = config.initial_p_high = spec.initial_p;
+  return config;
+}
+
+using BeepPtr = std::unique_ptr<sim::BeepProtocol>;
+
+template <typename Protocol>
+std::unique_ptr<sim::LocalProtocol> make_local(const AlgorithmSpec& /*spec*/) {
+  return std::make_unique<Protocol>();
+}
+
+const Algorithm kAlgorithms[] = {
+    {.name = "local-feedback",
+     .help = "the paper's algorithm (beeping; --factor, --initial-p)",
+     .beep = [](const AlgorithmSpec& s, const graph::Graph&) -> BeepPtr {
+       return std::make_unique<mis::LocalFeedbackMis>(local_feedback_config(s));
+     }},
+    {.name = "local-feedback-exact",
+     .help = "Definition 1 with integer exponents (beeping)",
+     .beep = [](const AlgorithmSpec&, const graph::Graph&) -> BeepPtr {
+       return std::make_unique<mis::ExactLocalFeedbackMis>();
+     }},
+    {.name = "self-healing",
+     .help = "local feedback + reactivation on silence (beeping; forces keepalive)",
+     .beep = [](const AlgorithmSpec& s, const graph::Graph&) -> BeepPtr {
+       mis::SelfHealingConfig config;
+       config.base = local_feedback_config(s);
+       return std::make_unique<mis::SelfHealingLocalFeedbackMis>(config);
+     },
+     .forces_keepalive = true},
+    {.name = "pure-beep",
+     .help = "local feedback without sender collision detection",
+     .beep = [](const AlgorithmSpec& s, const graph::Graph&) -> BeepPtr {
+       return std::make_unique<mis::PureBeepLocalFeedbackMis>(/*subslots=*/8, s.factor);
+     }},
+    {.name = "global-sweep",
+     .help = "Afek et al. DISC'11 sweeping schedule (beeping)",
+     .beep = [](const AlgorithmSpec&, const graph::Graph&) -> BeepPtr {
+       return std::make_unique<mis::GlobalScheduleMis>(mis::make_global_sweep_mis());
+     }},
+    {.name = "global-increasing",
+     .help = "Science'11-style increasing schedule (beeping)",
+     .beep = [](const AlgorithmSpec&, const graph::Graph& g) -> BeepPtr {
+       // Parameterised as mis::run_global_increasing (mis.cpp) does.
+       return std::make_unique<mis::GlobalScheduleMis>(
+           mis::make_global_increasing_mis(g.max_degree(), g.node_count()));
+     }},
+    {.name = "luby",
+     .help = "Luby's algorithm (LOCAL model, 64-bit messages)",
+     .local = make_local<mis::LubyMis>},
+    {.name = "luby-degree",
+     .help = "Luby's original 1/(2d) marking variant (LOCAL model)",
+     .local = make_local<mis::LubyDegreeMis>},
+    {.name = "metivier",
+     .help = "Metivier et al. bitwise MIS (LOCAL model, 1-bit)",
+     .local = make_local<mis::MetivierMis>},
+    {.name = "greedy-id",
+     .help = "deterministic id-minimum (LOCAL model, 1-bit)",
+     .local = make_local<mis::GreedyIdMis>},
+};
+
+const Algorithm& find_algorithm(const std::string& name) {
+  for (const Algorithm& algorithm : kAlgorithms) {
+    if (algorithm.name == name) return algorithm;
+  }
+  throw std::invalid_argument("unknown algorithm: " + name);
+}
+
+}  // namespace
+
+std::span<const Algorithm> algorithms() { return kAlgorithms; }
+
+sim::RunResult run_algorithm(const AlgorithmSpec& request, const graph::Graph& g) {
+  const Algorithm& algorithm = find_algorithm(request.name);
+  const AlgorithmSpec spec = as_run(request, algorithm);
+  if (algorithm.beep != nullptr) return run_beeping(spec, g, *algorithm.beep(spec, g));
+  sim::LocalSimulator simulator(g, local_sim_config(spec));
+  return simulator.run(*algorithm.local(spec), support::Xoshiro256StarStar(spec.seed));
 }
 
 std::vector<std::string> algorithm_names() {
-  return {"global-increasing",    "global-sweep", "greedy-id", "local-feedback",
-          "local-feedback-exact", "luby",         "luby-degree", "metivier",
-          "pure-beep",            "self-healing"};
+  std::vector<std::string> names;
+  for (const Algorithm& algorithm : kAlgorithms) names.emplace_back(algorithm.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string algorithm_help() {
+  constexpr std::size_t kHelpColumn = 21;
+  std::string help = "algorithms:\n";
+  for (const Algorithm& algorithm : kAlgorithms) {
+    std::string line = "  " + std::string(algorithm.name) + "  ";
+    line.resize(std::max(line.size(), kHelpColumn), ' ');
+    help += line + std::string(algorithm.help) + '\n';
+  }
+  return help;
 }
 
 double parse_seconds_flag(const std::string& flag, const std::string& value) {
@@ -298,9 +356,11 @@ double parse_seconds_flag(const std::string& flag, const std::string& value) {
   return parsed;
 }
 
-std::size_t parse_count_flag(const std::string& flag, const std::string& value) {
+std::size_t parse_count_flag(const std::string& flag, const std::string& value,
+                             std::size_t max) {
   const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a non-negative integer, got '" + value + "'");
+    throw std::invalid_argument(flag + ": expected a non-negative integer no greater than " +
+                                std::to_string(max) + ", got '" + value + "'");
   };
   if (value.empty() || value.size() > 19) bad();  // 19 digits always fits in 63 bits
   std::size_t parsed = 0;
@@ -308,47 +368,9 @@ std::size_t parse_count_flag(const std::string& flag, const std::string& value) 
     if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
     parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
   }
+  if (parsed > max) bad();
   return parsed;
 }
-
-namespace {
-
-/// Fresh protocol instance for a beeping algorithm spec, or nullptr for
-/// LOCAL-model algorithms (g parameterises the global-increasing
-/// schedule).  Unknown names throw, matching run_algorithm.
-std::unique_ptr<sim::BeepProtocol> make_beep_protocol(const AlgorithmSpec& spec,
-                                                      const graph::Graph& g) {
-  if (spec.name == "local-feedback") {
-    mis::LocalFeedbackConfig config;
-    config.factor_low = config.factor_high = spec.factor;
-    config.initial_p_low = config.initial_p_high = spec.initial_p;
-    return std::make_unique<mis::LocalFeedbackMis>(config);
-  }
-  if (spec.name == "local-feedback-exact") return std::make_unique<mis::ExactLocalFeedbackMis>();
-  if (spec.name == "self-healing") {
-    mis::SelfHealingConfig config;
-    config.base.factor_low = config.base.factor_high = spec.factor;
-    config.base.initial_p_low = config.base.initial_p_high = spec.initial_p;
-    return std::make_unique<mis::SelfHealingLocalFeedbackMis>(config);
-  }
-  if (spec.name == "pure-beep") {
-    return std::make_unique<mis::PureBeepLocalFeedbackMis>(/*subslots=*/8, spec.factor);
-  }
-  if (spec.name == "global-sweep") {
-    return std::make_unique<mis::GlobalScheduleMis>(mis::make_global_sweep_mis());
-  }
-  if (spec.name == "global-increasing") {
-    return std::make_unique<mis::GlobalScheduleMis>(
-        mis::make_global_increasing_mis(g.max_degree(), g.node_count()));
-  }
-  if (spec.name == "luby" || spec.name == "luby-degree" || spec.name == "metivier" ||
-      spec.name == "greedy-id") {
-    return nullptr;  // LOCAL-model: no beeping protocol
-  }
-  throw std::invalid_argument("unknown algorithm: " + spec.name);
-}
-
-}  // namespace
 
 std::uint64_t sweep_fingerprint(const SweepSpec& spec) {
   // The fingerprint IS the hash of the canonical request text: the serialized
@@ -363,15 +385,11 @@ std::uint64_t sweep_fingerprint(const SweepSpec& spec) {
 harness::TrialStats run_sweep(const SweepSpec& spec) { return run_sweep(spec, SweepHooks{}); }
 
 harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
+  const Algorithm& algorithm = find_algorithm(spec.algorithm.name);
+  const AlgorithmSpec aspec = as_run(spec.algorithm, algorithm);
   // Build the graph once up front: it is shared across trials (the CLI
   // sweep semantics) and parameterises the global-increasing schedule.
   auto g = std::make_shared<const graph::Graph>(make_graph(spec.graph));
-  const AlgorithmSpec aspec = spec.algorithm;
-  if (make_beep_protocol(aspec, *g) == nullptr) {
-    throw std::invalid_argument(
-        "run_sweep: crash-safe sweeps are a beeping-harness feature; got LOCAL-model "
-        "algorithm: " + aspec.name);
-  }
 
   harness::TrialConfig config;
   config.trials = spec.trials;
@@ -380,7 +398,6 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
   config.shared_graph = true;
   config.shards = aspec.shards;  // AlgorithmSpec default 1 = never auto-shard
   config.sim = aspec.sim;
-  if (aspec.name == "self-healing") config.sim.mis_keepalive = true;  // mirror run_algorithm
   config.journal_path = spec.journal_path;
   config.resume = spec.resume;
   config.budget_seconds = spec.budget_seconds;
@@ -391,31 +408,19 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
   config.request_fingerprint = sweep_fingerprint(spec);
   config.on_checkpoint = hooks.on_checkpoint;
   config.stop_request = hooks.stop_request;
+
+  const harness::GraphFactory graphs = [g](support::Xoshiro256StarStar&) { return *g; };
+  if (algorithm.local != nullptr) {
+    config.local_sim = local_sim_config(aspec);
+    return harness::run_local_trials(
+        graphs, [aspec, make = algorithm.local] { return make(aspec); }, config);
+  }
   if (aspec.scenario.name != "none") {
     const ScenarioSpec sspec = aspec.scenario;
     config.scenario = [sspec]() { return make_scenario(sspec)->clone(); };
   }
-
-  const harness::GraphFactory graphs = [g](support::Xoshiro256StarStar&) { return *g; };
-  const harness::BeepProtocolFactory protocols = [aspec, g]() {
-    return make_beep_protocol(aspec, *g);
-  };
-  return harness::run_beep_trials(graphs, protocols, config);
-}
-
-std::string algorithm_help() {
-  return "algorithms:\n"
-         "  local-feedback     the paper's algorithm (beeping; --factor, --initial-p)\n"
-         "  local-feedback-exact  Definition 1 with integer exponents (beeping)\n"
-         "  self-healing       local feedback + silence-triggered reactivation\n"
-         "                     (beeping; forces keepalive; pair with --scenario)\n"
-         "  pure-beep          local feedback without sender collision detection\n"
-         "  global-sweep       Afek et al. DISC'11 sweeping schedule (beeping)\n"
-         "  global-increasing  Science'11-style increasing schedule (beeping)\n"
-         "  luby               Luby's algorithm (LOCAL model, 64-bit messages)\n"
-         "  luby-degree        Luby's original 1/(2d) marking variant (LOCAL model)\n"
-         "  metivier           Metivier et al. bitwise MIS (LOCAL model, 1-bit)\n"
-         "  greedy-id          deterministic id-minimum (LOCAL model, 1-bit)\n";
+  return harness::run_beep_trials(
+      graphs, [aspec, g, make = algorithm.beep] { return make(aspec, *g); }, config);
 }
 
 }  // namespace beepmis::cli

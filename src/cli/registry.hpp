@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -84,16 +86,16 @@ struct ScenarioSpec {
 struct AlgorithmSpec {
   std::string name = "local-feedback";
   std::uint64_t seed = 1;
+  /// Simulator knobs.  LOCAL-model algorithms read only max_rounds.
   sim::SimConfig sim;
-  sim::LocalSimConfig local_sim;
   /// Local-feedback knobs (ignored by other algorithms).
   double factor = 2.0;
   double initial_p = 0.5;
   /// >= 2: run through sim::ShardedSimulator with this many shards (one
   /// worker thread each) — bit-identical to the scalar run, so results
-  /// never depend on the flag.  Only shard-capable beeping algorithms
-  /// accept it (local-feedback, local-feedback-exact, global-sweep,
-  /// global-increasing); others throw std::invalid_argument.
+  /// never depend on the flag.  LOCAL-model algorithms throw
+  /// std::invalid_argument; so does run_algorithm for a beeping protocol
+  /// without shard support (pure-beep), which run_sweep runs unsharded.
   unsigned shards = 1;
   /// Fault adversary (beeping algorithms only; scalar simulator only —
   /// combining with shards >= 2 throws).
@@ -105,10 +107,31 @@ struct AlgorithmSpec {
   double budget_seconds = 0.0;
 };
 
-/// Runs the named algorithm on `g`.  Throws std::invalid_argument for an
-/// unknown algorithm name.
+/// One registered MIS algorithm: the single table that run_algorithm,
+/// run_sweep, algorithm_names and algorithm_help all read.  Exactly one
+/// factory is set — `beep` for a beeping-model protocol (`g`
+/// parameterises the global-increasing schedule), `local` for a
+/// LOCAL-model one.
+struct Algorithm {
+  std::string_view name;
+  std::string_view help;  ///< one line of algorithm_help()
+  std::unique_ptr<sim::BeepProtocol> (*beep)(const AlgorithmSpec&, const graph::Graph& g) =
+      nullptr;
+  std::unique_ptr<sim::LocalProtocol> (*local)(const AlgorithmSpec&) = nullptr;
+  /// Runs with SimConfig::mis_keepalive on whatever the spec says
+  /// (self-healing detects dominator death through keep-alive silence).
+  bool forces_keepalive = false;
+};
+
+/// The algorithm table, in algorithm_help() order.
+[[nodiscard]] std::span<const Algorithm> algorithms();
+
+/// Runs the named algorithm once on `g`, drawing from `spec.seed`.  Throws
+/// std::invalid_argument for an unknown algorithm name or a knob the
+/// algorithm cannot honour.
 [[nodiscard]] sim::RunResult run_algorithm(const AlgorithmSpec& spec, const graph::Graph& g);
 
+/// Registered algorithm names, alphabetical.
 [[nodiscard]] std::vector<std::string> algorithm_names();
 [[nodiscard]] std::string algorithm_help();
 
@@ -120,17 +143,17 @@ struct AlgorithmSpec {
 /// (the kMaxShards guard style) — never silently truncates.
 [[nodiscard]] double parse_seconds_flag(const std::string& flag, const std::string& value);
 
-/// Strict count-flag validation: a non-negative decimal integer,
-/// full-match (rejects "-3", "1e3", "7x", overflow).  Throws
-/// std::invalid_argument naming the flag.
-[[nodiscard]] std::size_t parse_count_flag(const std::string& flag, const std::string& value);
+/// Strict count-flag validation: a non-negative decimal integer no
+/// greater than `max`, full-match (rejects "-3", "1e3", "7x", overflow).
+/// Throws std::invalid_argument naming the flag.
+[[nodiscard]] std::size_t parse_count_flag(const std::string& flag, const std::string& value,
+                                           std::size_t max = SIZE_MAX);
 
 /// A crash-safe multi-trial sweep request: one graph (GraphSpec), one
-/// beeping algorithm, harness-derived per-trial seeds (SeedSequence tree
-/// rooted at base_seed — deliberately different from the legacy
-/// seed-plus-trial CLI loop, which has no checkpointing).  LOCAL-model
-/// algorithms are rejected — crash-safe sweeps are a beeping-harness
-/// feature.
+/// algorithm of either model, and harness-derived per-trial seeds: trial
+/// t draws from harness::trial_run_seed(base_seed, t), a node of the
+/// SeedSequence tree rooted at base_seed.  Every multi-trial run of
+/// beepmis_cli and every beepmisd request is one of these.
 struct SweepSpec {
   GraphSpec graph;
   AlgorithmSpec algorithm;
@@ -180,9 +203,11 @@ struct SweepHooks {
   std::shared_ptr<std::atomic<bool>> stop_request;
 };
 
-/// Runs the sweep through harness::run_beep_trials with journaling, fault
-/// isolation and budget controls wired up.  Throws std::invalid_argument
-/// for unknown names, LOCAL-model algorithms, or invalid knobs.
+/// Runs the sweep through harness::run_beep_trials (beeping algorithms) or
+/// harness::run_local_trials (LOCAL-model ones, capped at
+/// sim.max_rounds) with journaling, fault isolation and budget controls
+/// wired up.  Throws std::invalid_argument for unknown names, invalid
+/// knobs, or a scenario or shard count on a LOCAL-model algorithm.
 [[nodiscard]] harness::TrialStats run_sweep(const SweepSpec& spec);
 [[nodiscard]] harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks);
 

@@ -447,6 +447,10 @@ void quarantine_record(TrialRecord& rec, const AttemptOutcome& outcome) {
   rec.error = outcome.error;
 }
 
+support::Xoshiro256StarStar trial_rng(std::uint64_t base_seed, std::size_t trial) {
+  return support::Xoshiro256StarStar(trial_run_seed(base_seed, trial));
+}
+
 /// Trial 0's graph: the graph every trial of a shared-graph sweep reuses,
 /// and the lone trial's graph of a one-trial sweep.
 graph::Graph build_trial0_graph(const GraphFactory& graphs, std::uint64_t base_seed) {
@@ -529,16 +533,15 @@ void run_per_trial(const GraphFactory& graphs, const graph::Graph* shared,
   run_units(config, workers, 1, sweep, [&](const DeadlinePtr& deadline) {
     return [&, simulator = make_simulator(deadline), protocol = protocols()](
                std::size_t trial, std::size_t /*last*/) mutable {
-      const support::SeedSequence trial_seed = root.child(trial);
       graph::Graph own;
       const graph::Graph* g = shared;
       if (g == nullptr) {
-        auto graph_rng = trial_seed.child(0).generator();
+        auto graph_rng = root.child(trial).child(0).generator();
         own = graphs(graph_rng);
         g = &own;
       }
       fill_record(sweep.records[trial], *g,
-                  simulator.run(*g, *protocol, trial_seed.child(1).generator()));
+                  simulator.run(*g, *protocol, trial_rng(config.base_seed, trial)));
     };
   });
 }
@@ -550,16 +553,16 @@ void run_per_trial(const GraphFactory& graphs, const graph::Graph* shared,
 /// inside the simulator, so records stay deterministic for any thread
 /// count (per (base_seed, trials, mode), not per trial seed).
 sim::LaneOutcomes run_batch(sim::BatchSimulator& simulator, const graph::Graph& g,
-                            sim::BatchProtocol& kernel, const support::SeedSequence& root,
+                            sim::BatchProtocol& kernel, std::uint64_t base_seed,
                             std::size_t first, std::size_t last) {
   if (simulator.rng_mode() == sim::BatchRngMode::kStatisticalLanes) {
-    return simulator.run_outcomes(g, kernel, root.child(first).child(1).generator(),
+    return simulator.run_outcomes(g, kernel, trial_rng(base_seed, first),
                                   static_cast<unsigned>(last - first));
   }
   std::vector<support::Xoshiro256StarStar> rngs;
   rngs.reserve(last - first);
   for (std::size_t trial = first; trial < last; ++trial) {
-    rngs.push_back(root.child(trial).child(1).generator());
+    rngs.push_back(trial_rng(base_seed, trial));
   }
   return simulator.run_outcomes(g, kernel, std::move(rngs));
 }
@@ -570,9 +573,8 @@ sim::LaneOutcomes run_batch(sim::BatchSimulator& simulator, const graph::Graph& 
 /// with BatchSimulator's.
 sim::LaneOutcomes run_batch(sim::ShardedBatchSimulator& simulator,
                             const graph::Graph& /*bound*/, sim::BatchProtocol& kernel,
-                            const support::SeedSequence& root, std::size_t first,
-                            std::size_t last) {
-  return simulator.run_outcomes(kernel, root.child(first).child(1).generator(),
+                            std::uint64_t base_seed, std::size_t first, std::size_t last) {
+  return simulator.run_outcomes(kernel, trial_rng(base_seed, first),
                                 static_cast<unsigned>(last - first));
 }
 
@@ -586,7 +588,6 @@ template <typename MakeSimulator>
 void run_per_batch(const graph::Graph& shared, const BeepProtocolFactory& protocols,
                    const TrialConfig& config, const ExecutionPlan& plan, SweepState& sweep,
                    MakeSimulator&& make_simulator) {
-  const support::SeedSequence root(config.base_seed);
   run_units(config, plan.workers, sim::kMaxBatchLanes, sweep, [&](const DeadlinePtr& deadline) {
     std::unique_ptr<sim::BatchProtocol> kernel = protocols()->make_batch_protocol(plan.rng_mode);
     if (!kernel) {
@@ -598,7 +599,7 @@ void run_per_batch(const graph::Graph& shared, const BeepProtocolFactory& protoc
     return [&, simulator = make_simulator(deadline), kernel = std::move(kernel)](
                std::size_t first, std::size_t last) mutable {
       fill_lane_records(std::span(sweep.records).subspan(first, last - first), shared,
-                        run_batch(simulator, shared, *kernel, root, first, last));
+                        run_batch(simulator, shared, *kernel, config.base_seed, first, last));
     };
   });
 }
@@ -641,6 +642,10 @@ void execute(const ExecutionPlan& plan, const GraphFactory& graphs, const graph:
 }
 
 }  // namespace
+
+std::uint64_t trial_run_seed(std::uint64_t base_seed, std::size_t trial) {
+  return support::SeedSequence(base_seed).child(trial).child(1).value();
+}
 
 std::size_t effective_checkpoint_interval(std::size_t checkpoint_interval) {
   const std::size_t lanes = sim::kMaxBatchLanes;

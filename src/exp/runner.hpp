@@ -257,6 +257,13 @@ struct TrialStats {
 [[nodiscard]] std::size_t checkpoint_chunk_count(std::size_t trials,
                                                  std::size_t checkpoint_interval);
 
+/// The seed of trial `trial`'s run RNG in a sweep rooted at `base_seed`:
+/// node child(trial).child(1) of the SeedSequence tree (child(trial).child(0)
+/// seeds a per-trial graph).  Every execution path draws trial `trial` from
+/// it — a kStatisticalLanes batch from its first trial's — so one trial of
+/// a sweep can be re-run directly, as beepmis_cli's --dot-out does.
+[[nodiscard]] std::uint64_t trial_run_seed(std::uint64_t base_seed, std::size_t trial);
+
 /// The engine a beeping sweep runs on.  The scalar and sharded paths run
 /// a per-trial loop; the batched paths run a per-batch loop of 64-lane
 /// batches.

@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/csr_file.hpp"
@@ -142,6 +143,54 @@ TEST(AlgorithmRegistry, HelpMentionsEveryAlgorithm) {
   }
 }
 
+TEST(AlgorithmRegistry, EveryTableEntryHasAHelpLineAndOneFactory) {
+  const std::string help = algorithm_help();
+  std::vector<std::string_view> seen;
+  for (const Algorithm& a : algorithms()) {
+    EXPECT_FALSE(a.help.empty()) << a.name;
+    // The entry's line: its name, then its help text.
+    const std::size_t line = help.find("\n  " + std::string(a.name) + " ");
+    ASSERT_NE(line, std::string::npos) << a.name;
+    EXPECT_NE(help.substr(line + 1, help.find('\n', line + 1) - line - 1).find(a.help),
+              std::string::npos)
+        << a.name;
+    EXPECT_NE(a.beep == nullptr, a.local == nullptr) << a.name << ": exactly one factory";
+    EXPECT_EQ(std::find(seen.begin(), seen.end(), a.name), seen.end()) << a.name;
+    seen.push_back(a.name);
+  }
+  EXPECT_EQ(seen.size(), algorithm_names().size());
+}
+
+TEST(AlgorithmRegistry, FactoryKindMatchesWhatRunSweepAccepts) {
+  // Both kinds sweep; only a beeping factory takes a fault scenario.
+  for (const Algorithm& a : algorithms()) {
+    SweepSpec spec;
+    spec.graph.n = 30;
+    spec.graph.p = 0.2;
+    spec.algorithm.name = std::string(a.name);
+    spec.trials = 3;
+    spec.threads = 1;
+    EXPECT_EQ(run_sweep(spec).valid, 3u) << a.name;
+    spec.algorithm.scenario.name = "uniform-crash";
+    spec.algorithm.scenario.round_hi = 5;
+    if (a.beep != nullptr) {
+      EXPECT_EQ(run_sweep(spec).trials, 3u) << a.name;
+    } else {
+      EXPECT_THROW((void)run_sweep(spec), std::invalid_argument) << a.name;
+    }
+  }
+}
+
+TEST(AlgorithmRegistry, ShardsWithoutShardSupportThrow) {
+  const graph::Graph g = make_graph(GraphSpec{});
+  for (const char* name : {"pure-beep", "luby"}) {
+    AlgorithmSpec spec;
+    spec.name = name;
+    spec.shards = 2;
+    EXPECT_THROW((void)run_algorithm(spec, g), std::invalid_argument) << name;
+  }
+}
+
 TEST(AlgorithmRegistry, SelfHealingIsRegistered) {
   const std::vector<std::string> names = algorithm_names();
   EXPECT_NE(std::find(names.begin(), names.end(), "self-healing"), names.end());
@@ -266,12 +315,65 @@ TEST(Sweep, FingerprintSeparatesRequests) {
   EXPECT_NE(sweep_fingerprint(a), sweep_fingerprint(b));
 }
 
-TEST(Sweep, RejectsLocalModelAlgorithms) {
+TEST(Sweep, RunsLocalModelAlgorithms) {
+  for (const char* name : {"luby", "luby-degree", "metivier", "greedy-id"}) {
+    SweepSpec spec;
+    spec.graph.n = 40;
+    spec.graph.p = 0.2;
+    spec.algorithm.name = name;
+    spec.trials = 70;  // a full 64-trial chunk plus a partial one
+    spec.threads = 2;
+    const harness::TrialStats stats = run_sweep(spec);
+    EXPECT_EQ(stats.trials, 70u) << name;
+    EXPECT_EQ(stats.valid, 70u) << name;
+    EXPECT_EQ(stats.terminated, 70u) << name;
+    EXPECT_GT(stats.message_bits.mean(), 0.0) << name;
+  }
+}
+
+TEST(Sweep, ScenarioOnLocalSweepThrows) {
   SweepSpec spec;
   spec.graph.n = 20;
   spec.algorithm.name = "luby";
+  spec.algorithm.scenario.name = "uniform-crash";
+  spec.algorithm.scenario.round_hi = 5;
   spec.trials = 2;
   EXPECT_THROW((void)run_sweep(spec), std::invalid_argument);
+}
+
+TEST(Sweep, LocalRoundCapComesFromSimMaxRounds) {
+  SweepSpec spec;
+  spec.graph.n = 40;
+  spec.graph.p = 0.2;
+  spec.algorithm.name = "luby";
+  spec.algorithm.sim.max_rounds = 1;
+  spec.trials = 4;
+  const harness::TrialStats stats = run_sweep(spec);
+  EXPECT_EQ(stats.rounds.max(), 1.0);
+  EXPECT_LT(stats.terminated, 4u);
+}
+
+TEST(Sweep, TrialZeroRerunMatchesAOneTrialSweep) {
+  // beepmis_cli's --dot-out re-runs trial 0 from harness::trial_run_seed
+  // through run_algorithm; it must be the run the sweep aggregated.
+  for (const char* name : {"local-feedback", "self-healing", "luby", "metivier"}) {
+    SweepSpec spec;
+    spec.graph.n = 60;
+    spec.graph.p = 0.1;
+    spec.algorithm.name = name;
+    spec.trials = 1;
+    spec.base_seed = 77;
+    const harness::TrialStats stats = run_sweep(spec);
+
+    const graph::Graph g = make_graph(spec.graph);
+    AlgorithmSpec trial0 = spec.algorithm;
+    trial0.seed = harness::trial_run_seed(spec.base_seed, 0);
+    const sim::RunResult result = run_algorithm(trial0, g);
+    EXPECT_EQ(stats.rounds.mean(), static_cast<double>(result.rounds)) << name;
+    EXPECT_EQ(stats.mis_size.mean(), static_cast<double>(result.mis().size())) << name;
+    EXPECT_EQ(stats.beeps_per_node.mean(), result.mean_beeps_per_node()) << name;
+    EXPECT_EQ(stats.message_bits.mean(), static_cast<double>(result.message_bits)) << name;
+  }
 }
 
 TEST(Sweep, RunsACompleteSweep) {
