@@ -31,12 +31,6 @@
 //                   healing scan serves 64 lanes per plane load where the
 //                   scalar protocol scans all n nodes per trial.
 //
-// Each (workload, protocol) pair is measured in both draw-entropy modes:
-// "scalar-order" (bit-identical lanes, cross-checked against the scalar
-// runs before timing) and "statistical" (BatchRngMode::kStatisticalLanes:
-// jump()-partitioned lane streams + bulk Bernoulli planes; lanes are
-// validity-checked instead, since there is no scalar twin by design).
-//
 //   ./bench_batch [--n=10000] [--avg-degree=8] [--trials=64] [--reps=3]
 //                 [--tail-rounds=500] [--seed=2026] [--git-rev=<rev>]
 //                 [--out=BENCH_batch.json]
@@ -59,7 +53,6 @@
 #include "mis/local_feedback.hpp"
 #include "mis/schedule.hpp"
 #include "mis/self_healing.hpp"
-#include "mis/verifier.hpp"
 #include "sim/batch.hpp"
 #include "sim/beep.hpp"
 #include "support/options.hpp"
@@ -74,7 +67,6 @@ struct Measurement {
   std::string workload;
   std::string protocol;
   std::string impl;
-  std::string mode;  ///< draw-entropy mode: "scalar-order" or "statistical"
   std::size_t n = 0;
   std::size_t trials = 0;
   double wall_ms = 0.0;
@@ -106,8 +98,7 @@ benchcommon::JsonReport make_report(const std::vector<Measurement>& results,
   for (const Measurement& m : results) {
     std::ostringstream row;
     row << "{\"workload\": \"" << m.workload << "\", \"protocol\": \"" << m.protocol
-        << "\", \"impl\": \"" << m.impl << "\", \"mode\": \"" << m.mode
-        << "\", \"n\": " << m.n
+        << "\", \"impl\": \"" << m.impl << "\", \"n\": " << m.n
         << ", \"trials\": " << m.trials << ", \"wall_ms\": " << m.wall_ms
         << ", \"trials_per_sec\": " << m.trials_per_sec
         << ", \"speedup_vs_scalar\": " << m.speedup_vs_scalar << m.phase << "}";
@@ -151,16 +142,15 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << g.describe() << ", trials: " << trials << "\n\n";
 
   std::vector<Measurement> results;
-  support::Table table({"workload", "protocol", "impl", "mode", "trials", "wall ms",
-                        "trials/sec", "speedup"});
+  support::Table table(
+      {"workload", "protocol", "impl", "trials", "wall ms", "trials/sec", "speedup"});
   const auto record = [&](const std::string& workload, const std::string& protocol,
-                          const char* impl, const char* mode, double ms,
-                          double speedup, std::string phase = {}) {
+                          const char* impl, double ms, double speedup,
+                          std::string phase = {}) {
     Measurement m;
     m.workload = workload;
     m.protocol = protocol;
     m.impl = impl;
-    m.mode = mode;
     m.n = n;
     m.trials = trials;
     m.wall_ms = ms;
@@ -172,7 +162,6 @@ int main(int argc, char** argv) {
         .cell(workload)
         .cell(protocol)
         .cell(impl)
-        .cell(mode)
         .cell(trials)
         .cell(ms)
         .cell(m.trials_per_sec)
@@ -242,50 +231,10 @@ int main(int argc, char** argv) {
       }
     });
     std::string batch_phase = benchcommon::phase_ns_fragment();
-    record(workload, protocol_name, "scalar", "scalar-order", scalar_ms, 1.0,
-           std::move(scalar_phase));
-    record(workload, protocol_name, "batched", "scalar-order", batch_ms,
-           scalar_ms / batch_ms, std::move(batch_phase));
+    record(workload, protocol_name, "scalar", scalar_ms, 1.0, std::move(scalar_phase));
+    record(workload, protocol_name, "batched", batch_ms, scalar_ms / batch_ms,
+           std::move(batch_phase));
 
-    // Statistical lanes: same trial count, one jump()-partitioned base
-    // stream per 64-lane batch (the harness's seed tree), bulk-plane
-    // draws.  No bit-identity to cross-check by design; instead every
-    // lossless no-crash lane must verify as a valid MIS before timing
-    // (loss can legitimately leave fate inconsistencies, and a crash near
-    // the run_until cutoff can legitimately end a lane mid-heal, so those
-    // lanes check termination only).
-    sim::BatchSimulator stat_sim(config, sim::BatchRngMode::kStatisticalLanes);
-    const std::unique_ptr<sim::BatchProtocol> stat_protocol =
-        scalar_protocol->make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
-    if (!stat_protocol) {
-      std::cerr << "FATAL: protocol " << protocol_name << " has no statistical kernel\n";
-      std::exit(1);
-    }
-    const bool lossless = config.beep_loss_probability == 0.0 && config.crash_round.empty();
-    const auto stat_batches = [&](bool check) {
-      for (std::size_t first = 0; first < trials; first += sim::kMaxBatchLanes) {
-        const std::size_t last = std::min(first + sim::kMaxBatchLanes, trials);
-        const std::vector<sim::RunResult> batch =
-            stat_sim.run(g, *stat_protocol, trial_rng(root, first),
-                         static_cast<unsigned>(last - first));
-        if (!check) continue;
-        for (std::size_t lane = 0; lane < batch.size(); ++lane) {
-          const bool ok = lossless ? mis::is_valid_mis_run(g, batch[lane])
-                                   : batch[lane].terminated;
-          if (!ok) {
-            std::cerr << "FATAL: statistical lane " << (first + lane)
-                      << " produced an invalid run (workload " << workload
-                      << ", protocol " << protocol_name << ")\n";
-            std::exit(1);
-          }
-        }
-      }
-    };
-    stat_batches(/*check=*/true);
-    support::reset_phase_timers();
-    const double stat_ms = best_wall_ms(reps, [&] { stat_batches(/*check=*/false); });
-    record(workload, protocol_name, "batched", "statistical", stat_ms,
-           scalar_ms / stat_ms, benchcommon::phase_ns_fragment());
   };
 
   const ProtocolFactory local_feedback = [] {

@@ -228,8 +228,7 @@ int main(int argc, char** argv) {
   for (const Measurement& m : results) {
     std::ostringstream row;
     row << "{\"workload\": \"" << m.workload << "\", \"protocol\": \"local-feedback\""
-        << ", \"impl\": \"" << m.impl << "\", \"mode\": \"scalar-order\""
-        << ", \"n\": " << m.n << ", \"shards\": " << m.shards
+        << ", \"impl\": \"" << m.impl << "\", \"n\": " << m.n << ", \"shards\": " << m.shards
         << ", \"wall_ms\": " << m.wall_ms;
     if (m.has_speedup) row << ", \"speedup_vs_ram\": " << m.speedup_vs_ram;
     row << m.phase << "}";

@@ -1,18 +1,10 @@
 // Sharded single-run benchmark: scalar BeepSimulator vs ShardedSimulator
 // across shard counts on one large instance — the "one huge graph, many
-// cores" regime the trial-level parallelism cannot touch — plus the
-// sharded × batched composition (ShardedBatchSimulator): 64 statistical
-// lanes per exchange swept by K shards at once.
+// cores" regime the trial-level parallelism cannot touch.
 //
-// Every kScalarOrder row is cross-checked bit-identical against the scalar
-// run before timing (the sharded determinism contract), so the ratio
-// compares two executions of the same computation.  The statistical rows
-// (mode "statistical") have no scalar twin by design: every lane is
-// validity-checked before timing, the k = 1 sharded-batched run is
-// additionally cross-checked bit-identical to the batched statistical run
-// (the engine-unification oracle), and their speedup column is
-// *per-trial* — scalar wall time times the lane count over the batch wall
-// time.
+// Every sharded row is cross-checked bit-identical against the scalar run
+// before timing (the sharded determinism contract), so the ratio compares
+// two executions of the same computation.
 //
 // Speedups depend on the machine: the per-run worker pool has one thread
 // per shard, so rows report hardware_threads in the header — on a 1-core
@@ -45,11 +37,8 @@
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
-#include "mis/verifier.hpp"
-#include "sim/batch.hpp"
 #include "sim/beep.hpp"
 #include "sim/sharded.hpp"
-#include "sim/sharded_batch.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -61,10 +50,8 @@ using namespace beepmis;
 struct Measurement {
   std::string workload;
   std::string impl;
-  std::string mode;  ///< draw-entropy mode: "scalar-order" or "statistical"
   std::size_t n = 0;
   unsigned shards = 0;
-  unsigned lanes = 1;  ///< trials per timed run (64 for the batched rows)
   double wall_ms = 0.0;
   double speedup_vs_scalar = 1.0;
   /// Partition locality of the sharded rows (0 for the scalar row):
@@ -150,20 +137,16 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << g.describe() << ", hardware threads: " << hardware << "\n\n";
 
   std::vector<Measurement> results;
-  support::Table table(
-      {"workload", "impl", "mode", "shards", "lanes", "cut edges", "wall ms", "speedup"});
+  support::Table table({"workload", "impl", "shards", "cut edges", "wall ms", "speedup"});
   const auto record = [&](const std::string& workload, const std::string& impl,
-                          const char* mode, unsigned shards, unsigned lanes, double ms,
-                          double speedup, std::size_t cut_edges, std::size_t boundary_nodes,
-                          std::string phase) {
-    results.push_back({workload, impl, mode, n, shards, lanes, ms, speedup, cut_edges,
-                       boundary_nodes, std::move(phase)});
+                          unsigned shards, double ms, double speedup, std::size_t cut_edges,
+                          std::size_t boundary_nodes, std::string phase) {
+    results.push_back(
+        {workload, impl, n, shards, ms, speedup, cut_edges, boundary_nodes, std::move(phase)});
     table.new_row()
         .cell(workload)
         .cell(impl)
-        .cell(mode)
         .cell(static_cast<std::size_t>(shards))
-        .cell(static_cast<std::size_t>(lanes))
         .cell(cut_edges)
         .cell(ms)
         .cell(speedup);
@@ -196,7 +179,7 @@ int main(int argc, char** argv) {
     const double scalar_ms = timed(reps, phase, [&] {
       (void)scalar_sim.run(scalar_protocol, support::Xoshiro256StarStar(seed));
     });
-    record(workload, "scalar", "scalar-order", 1, 1, scalar_ms, 1.0, 0, 0, phase);
+    record(workload, "scalar", 1, scalar_ms, 1.0, 0, 0, phase);
 
     for (const unsigned k : shard_counts) {
       sim::ShardedSimulator sharded_sim(g, k, config);
@@ -208,73 +191,18 @@ int main(int argc, char** argv) {
       });
       std::size_t cut = 0, boundary = 0;
       partition_stats(sharded_sim.partition(), cut, boundary);
-      record(workload, "sharded-k" + std::to_string(k), "scalar-order", k, 1, ms,
-             scalar_ms / ms, cut, boundary, phase);
+      record(workload, "sharded-k" + std::to_string(k), k, ms, scalar_ms / ms, cut, boundary,
+             phase);
     }
-
-    // Sharded × batched: 64 statistical lanes per run, swept by K shards.
-    // No scalar twin by design — every lane must verify as a valid MIS
-    // (both workloads here are lossless and crash-free), and at k = 1 the
-    // run must be bit-identical to the batched statistical run, lane for
-    // lane.  The speedup column is per-trial: one batch carries 64 trials,
-    // so the fair scalar cost is scalar_ms * lanes.
-    if (config.beep_loss_probability == 0.0) {
-      const unsigned lanes = sim::kMaxBatchLanes;
-      const std::unique_ptr<sim::BatchProtocol> kernel =
-          scalar_protocol.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
-      if (!kernel) {
-        std::cerr << "FATAL: local-feedback lost its statistical kernel\n";
-        return 1;
-      }
-      sim::BatchSimulator batch_sim(config, sim::BatchRngMode::kStatisticalLanes);
-      const std::vector<sim::RunResult> batched_ref =
-          batch_sim.run(g, *kernel, support::Xoshiro256StarStar(seed), lanes);
-      for (const sim::RunResult& r : batched_ref) {
-        if (!mis::is_valid_mis_run(g, r)) {
-          std::cerr << "FATAL: batched statistical lane invalid (" << workload << ")\n";
-          return 1;
-        }
-      }
-      const double batch_ms = timed(reps, phase, [&] {
-        (void)batch_sim.run(g, *kernel, support::Xoshiro256StarStar(seed), lanes);
-      });
-      record(workload, "batched", "statistical", 1, lanes, batch_ms,
-             scalar_ms * lanes / batch_ms, 0, 0, phase);
-
-      for (const unsigned k : shard_counts) {
-        sim::ShardedBatchSimulator sb_sim(g, k, config);
-        const std::vector<sim::RunResult> sb_ref =
-            sb_sim.run(*kernel, support::Xoshiro256StarStar(seed), lanes);
-        for (std::size_t lane = 0; lane < sb_ref.size(); ++lane) {
-          if (k == 1) {
-            check_same(batched_ref[lane], sb_ref[lane],
-                       (workload + " sharded-batched k=1 lane " + std::to_string(lane))
-                           .c_str());
-          } else if (!mis::is_valid_mis_run(g, sb_ref[lane])) {
-            std::cerr << "FATAL: sharded-batched lane " << lane << " invalid ("
-                      << workload << " k=" << k << ")\n";
-            return 1;
-          }
-        }
-        const double ms = timed(reps, phase, [&] {
-          (void)sb_sim.run(*kernel, support::Xoshiro256StarStar(seed), lanes);
-        });
-        std::size_t cut = 0, boundary = 0;
-        partition_stats(sb_sim.partition(), cut, boundary);
-        record(workload, "sharded-k" + std::to_string(k) + "-batched", "statistical", k,
-               lanes, ms, scalar_ms * lanes / ms, cut, boundary, phase);
-      }
-    }
-    return 0;
   };
 
   sim::SimConfig converge;
-  if (measure_workload("converge", converge) != 0) return 1;
+  measure_workload("converge", converge);
   if (n <= tail_max_n) {
     sim::SimConfig keepalive_tail;
     keepalive_tail.mis_keepalive = true;
     keepalive_tail.run_until_round = tail_rounds;
-    if (measure_workload("keepalive-tail", keepalive_tail) != 0) return 1;
+    measure_workload("keepalive-tail", keepalive_tail);
   }
 
   std::cout << table.to_string() << '\n';
@@ -290,9 +218,8 @@ int main(int argc, char** argv) {
   for (const Measurement& m : results) {
     std::ostringstream row;
     row << "{\"workload\": \"" << m.workload << "\", \"protocol\": \"local-feedback\""
-        << ", \"impl\": \"" << m.impl << "\", \"mode\": \"" << m.mode
-        << "\", \"n\": " << m.n << ", \"shards\": " << m.shards
-        << ", \"lanes\": " << m.lanes << ", \"cut_edges\": " << m.cut_edges
+        << ", \"impl\": \"" << m.impl << "\", \"n\": " << m.n
+        << ", \"shards\": " << m.shards << ", \"cut_edges\": " << m.cut_edges
         << ", \"boundary_nodes\": " << m.boundary_nodes
         << ", \"wall_ms\": " << m.wall_ms
         << ", \"speedup_vs_scalar\": " << m.speedup_vs_scalar << m.phase << "}";

@@ -63,6 +63,12 @@ T count_flag(const beepmis::support::Options& options, const std::string& name) 
                                                        std::numeric_limits<T>::max()));
 }
 
+/// A real-valued flag (finite, non-negative, full-match); throws
+/// std::invalid_argument naming the flag.
+double real_flag(const beepmis::support::Options& options, const std::string& name) {
+  return beepmis::cli::parse_real_flag("--" + name, options.get(name));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,11 +157,11 @@ int main(int argc, char** argv) {
       cli::GraphSpec& gspec = spec.graph;
       gspec.family = options.get("graph");
       gspec.n = count_flag<graph::NodeId>(options, "n");
-      gspec.p = options.get_double("p");
+      gspec.p = real_flag(options, "p");
       gspec.rows = count_flag<graph::NodeId>(options, "rows");
       gspec.cols = count_flag<graph::NodeId>(options, "cols");
       gspec.k = count_flag<graph::NodeId>(options, "k");
-      gspec.seed = options.get_u64("graph-seed");
+      gspec.seed = count_flag<std::uint64_t>(options, "graph-seed");
       if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
         gspec.family = "file";
         gspec.path = graph_file;
@@ -163,30 +169,29 @@ int main(int argc, char** argv) {
 
       cli::AlgorithmSpec& aspec = spec.algorithm;
       aspec.name = options.get("algorithm");
-      aspec.sim.beep_loss_probability = options.get_double("loss");
+      aspec.sim.beep_loss_probability = real_flag(options, "loss");
       aspec.sim.mis_keepalive = options.get_bool("keepalive");
       aspec.sim.max_rounds = count_flag<std::size_t>(options, "max-rounds");
-      aspec.factor = options.get_double("factor");
-      aspec.initial_p = options.get_double("initial-p");
+      aspec.factor = real_flag(options, "factor");
+      aspec.initial_p = real_flag(options, "initial-p");
       aspec.shards = count_flag<unsigned>(options, "shards");
       aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
       aspec.sim.run_until_round = count_flag<std::size_t>(options, "run-until");
       aspec.sim.track_recovery = options.get_bool("track-recovery");
       aspec.scenario.name = options.get("scenario");
-      aspec.scenario.rate = options.get_double("scenario-rate");
+      aspec.scenario.rate = real_flag(options, "scenario-rate");
       aspec.scenario.round_lo = count_flag<std::uint32_t>(options, "scenario-lo");
       aspec.scenario.round_hi = count_flag<std::uint32_t>(options, "scenario-hi");
       aspec.scenario.budget = count_flag<std::size_t>(options, "scenario-budget");
-      aspec.scenario.seed = options.get_u64("scenario-seed");
+      aspec.scenario.seed = count_flag<std::uint64_t>(options, "scenario-seed");
 
       spec.trials = count_flag<std::size_t>(options, "trials");
-      spec.base_seed = options.get_u64("seed");
+      spec.base_seed = count_flag<std::uint64_t>(options, "seed");
       spec.threads = count_flag<unsigned>(options, "threads");
       spec.journal_path = options.get("journal");
       spec.resume = options.get_bool("resume");
-      spec.budget_seconds = cli::parse_seconds_flag("--budget", options.get("budget"));
-      spec.trial_timeout_seconds =
-          cli::parse_seconds_flag("--trial-timeout", options.get("trial-timeout"));
+      spec.budget_seconds = real_flag(options, "budget");
+      spec.trial_timeout_seconds = real_flag(options, "trial-timeout");
       spec.isolate_faults = options.get_bool("isolate-faults");
       spec.max_retries = count_flag<unsigned>(options, "max-retries");
       spec.checkpoint_interval = count_flag<std::size_t>(options, "checkpoint-interval");
@@ -243,6 +248,9 @@ int main(int argc, char** argv) {
     } else {
       if (!stats.resume_discarded_reason.empty()) {
         std::cout << "journal rejected: " << stats.resume_discarded_reason << '\n';
+      }
+      if (!stats.scalar_fallback_reason.empty()) {
+        std::cout << "fallback " << stats.scalar_fallback_reason << '\n';
       }
       std::cout << "sweep: requested " << stats.requested_trials << ", completed "
                 << stats.trials << ", attempted " << stats.attempted << ", quarantined "

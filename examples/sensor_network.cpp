@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   const auto shards = static_cast<unsigned>(options.get_int("shards"));
   double budget_seconds = 0.0;
   try {
-    budget_seconds = cli::parse_seconds_flag("--budget", options.get("budget"));
+    budget_seconds = cli::parse_real_flag("--budget", options.get("budget"));
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << '\n' << options.usage("sensor_network");
     return 1;

@@ -121,12 +121,13 @@ def row_key(row):
     """Identity of a measured lane, independent of n and of timing noise.
 
     Older baselines predate the per-protocol bench_batch rows, so a missing
-    "protocol" field maps to the only protocol they measured; likewise a
-    missing "mode" field maps to "scalar-order", the only draw-entropy mode
-    that existed before BatchRngMode::kStatisticalLanes.  Keying on mode
-    keeps the scalar-order and statistical rows of one (workload, protocol,
-    impl) from colliding — they are different lanes with very different
-    expected speedups.
+    "protocol" field maps to the only protocol they measured.  "mode" is the
+    draw contract a row ran under; the bench drivers no longer emit it,
+    since every batched and sharded lane now draws in scalar order, so a
+    missing "mode" maps to "scalar-order".  The key keeps it so that a
+    baseline still holding rows of the removed statistical-lanes mode keeps
+    them apart from the scalar-order rows of the same (workload, protocol,
+    impl) — they were different lanes with very different speedups.
 
     Any other row fields — the faults section's recovery_p50/p95/p99 SLA
     quantiles, disruption counts, and whatever future drivers add — are

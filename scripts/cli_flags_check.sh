@@ -3,12 +3,18 @@
 #
 #   scripts/cli_flags_check.sh <path-to-beepmis_cli> [workdir]
 #
-# 1. Every count flag rejects a non-numeric, a negative and an
+# 1. Every count and seed flag rejects a non-numeric, a negative and an
 #    out-of-range value with exit 1 and a message naming the flag — no
-#    abort, no wrap-around to a huge graph.
-# 2. A plain `--trials=130` run and a `--spec=` run of its own
+#    abort, no wrap-around to a huge graph or seed.  Every real-valued
+#    flag does the same for non-numeric, negative, partial and non-finite
+#    values.
+# 2. The largest seed, 2^64 - 1, survives --print-spec and a --spec
+#    round trip byte for byte.
+# 3. A plain `--trials=130` run and a `--spec=` run of its own
 #    `--print-spec` line print identical stats_bits / counts_exact lines:
 #    the flags and the serialized request are one sweep.
+# 4. An explicit --shards on an algorithm without sharded support runs
+#    unsharded and says so on a `fallback` line naming the shard count.
 set -u
 
 CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir]}
@@ -17,18 +23,36 @@ mkdir -p "$WORKDIR"
 
 fail() { echo "cli_flags_check: FAIL: $*" >&2; exit 1; }
 
+expect_rejected() {  # flag value
+  # `timeout` guards the old failure mode: a wrapped count that builds a
+  # 4-billion-node graph instead of exiting.
+  timeout 20 "$CLI" --graph=ring "--$1=$2" > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
+  status=$?
+  [ "$status" -eq 1 ] || fail "--$1=$2 exited $status, expected 1"
+  grep -qF -- "--$1:" "$WORKDIR/err.txt" \
+    || fail "--$1=$2: message does not name the flag: $(cat "$WORKDIR/err.txt")"
+}
+
 for flag in n rows cols k shards max-rounds run-until scenario-lo scenario-hi \
-            scenario-budget trials threads; do
+            scenario-budget trials threads seed graph-seed scenario-seed; do
   for value in abc -5 99999999999999999999; do
-    # `timeout` guards the old failure mode: a wrapped count that builds a
-    # 4-billion-node graph instead of exiting.
-    timeout 20 "$CLI" --graph=ring "--$flag=$value" > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
-    status=$?
-    [ "$status" -eq 1 ] || fail "--$flag=$value exited $status, expected 1"
-    grep -qF -- "--$flag:" "$WORKDIR/err.txt" \
-      || fail "--$flag=$value: message does not name the flag: $(cat "$WORKDIR/err.txt")"
+    expect_rejected "$flag" "$value"
   done
 done
+for flag in p loss factor initial-p scenario-rate budget trial-timeout; do
+  for value in abc -1 0.5x nan inf; do
+    expect_rejected "$flag" "$value"
+  done
+done
+
+max_seed=18446744073709551615
+"$CLI" --seed=$max_seed --graph-seed=$max_seed --print-spec > "$WORKDIR/max.spec" \
+  || fail "--seed=$max_seed --print-spec exited nonzero"
+grep -qE "^sweepspec .* graph.seed=$max_seed .* base_seed=$max_seed " "$WORKDIR/max.spec" \
+  || fail "--seed=$max_seed did not reach the spec: $(cat "$WORKDIR/max.spec")"
+"$CLI" --spec="$(sed -n 's/^\(sweepspec .*\)$/\1/p' "$WORKDIR/max.spec")" --print-spec \
+  > "$WORKDIR/max.respec" || fail "--spec of the max-seed line exited nonzero"
+diff -u "$WORKDIR/max.spec" "$WORKDIR/max.respec" || fail "max-seed spec does not round-trip"
 
 ARGS=(--graph=gnp --n=60 --p=0.1 --trials=130 --seed=9 --threads=2)
 "$CLI" "${ARGS[@]}" > "$WORKDIR/plain.txt" || fail "plain run exited nonzero"
@@ -40,5 +64,10 @@ grep -E '^(stats_bits|counts_exact) ' "$WORKDIR/spec.txt" > "$WORKDIR/spec.bits"
 [ -s "$WORKDIR/plain.bits" ] || fail "plain run printed no stats_bits lines"
 diff -u "$WORKDIR/plain.bits" "$WORKDIR/spec.bits" \
   || fail "plain --trials run and its --spec twin differ"
+
+"$CLI" --graph=gnp --n=40 --algorithm=pure-beep --shards=2 > "$WORKDIR/pure.txt" \
+  || fail "pure-beep --shards=2 exited nonzero"
+grep -qE '^fallback .*shards=2' "$WORKDIR/pure.txt" \
+  || fail "pure-beep --shards=2 printed no fallback line: $(cat "$WORKDIR/pure.txt")"
 
 echo "cli_flags_check: PASS"

@@ -342,9 +342,9 @@ std::string algorithm_help() {
   return help;
 }
 
-double parse_seconds_flag(const std::string& flag, const std::string& value) {
+double parse_real_flag(const std::string& flag, const std::string& value) {
   const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a finite, non-negative number of seconds, got '" +
+    throw std::invalid_argument(flag + ": expected a finite, non-negative number, got '" +
                                 value + "'");
   };
   if (value.empty()) bad();
@@ -356,17 +356,19 @@ double parse_seconds_flag(const std::string& flag, const std::string& value) {
   return parsed;
 }
 
-std::size_t parse_count_flag(const std::string& flag, const std::string& value,
-                             std::size_t max) {
+std::uint64_t parse_count_flag(const std::string& flag, const std::string& value,
+                               std::uint64_t max) {
   const auto bad = [&] {
     throw std::invalid_argument(flag + ": expected a non-negative integer no greater than " +
                                 std::to_string(max) + ", got '" + value + "'");
   };
-  if (value.empty() || value.size() > 19) bad();  // 19 digits always fits in 63 bits
-  std::size_t parsed = 0;
+  if (value.empty() || value.size() > 20) bad();
+  std::uint64_t parsed = 0;
   for (const char c : value) {
     if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
-    parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (parsed > (UINT64_MAX - digit) / 10) bad();  // beyond 2^64 - 1
+    parsed = parsed * 10 + digit;
   }
   if (parsed > max) bad();
   return parsed;

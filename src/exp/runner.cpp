@@ -20,7 +20,6 @@
 #include "mis/verifier.hpp"
 #include "sim/batch.hpp"
 #include "sim/sharded.hpp"
-#include "sim/sharded_batch.hpp"
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
 
@@ -299,27 +298,21 @@ TrialStats assemble(SweepState& sweep) {
 /// everything it cannot (graph family, protocol, scenario parameters).
 /// Thread count is deliberately excluded — results are thread-count
 /// independent, so a sweep may be resumed with different parallelism.
-std::uint64_t compute_request_hash(const TrialConfig& c, bool local, std::size_t chunk_size,
-                                   const ExecutionPlan& plan) {
+std::uint64_t compute_request_hash(const TrialConfig& c, bool local, std::size_t chunk_size) {
   support::StableHash h;
   h.update(local ? "beepmis-local-sweep-v1" : "beepmis-beep-sweep-v1");
   h.update_u64(c.request_fingerprint);
   h.update_u64(c.trials);
   h.update_u64(c.base_seed);
-  // The raw execution-path knobs (rng_mode, allow_batched, allow_sharded,
-  // shards) are excluded like the thread count: every path that draws in
-  // scalar order is bit-identical, so a journal written by a scalar run may
-  // be finished by a batched or sharded one.  What does change the numbers
-  // is the plan's effective draw order — kStatisticalLanes engages only on
-  // the batched paths — and, on the sharded-batched path, its shard count,
-  // which partitions the statistical streams per (shard, lane).  Hash those
-  // two (K = 0 off that path).  Auto-selected routes follow the thread
-  // count, so such a journal resumed on a different core count may be
-  // rejected whole and the sweep restarts: correct, just not incremental.
-  // Pin TrialConfig::shards explicitly to keep resumes incremental across
-  // machines.
-  h.update_u64(plan.rng_mode == sim::BatchRngMode::kStatisticalLanes ? 1 : 0);
-  h.update_u64(plan.path == ExecutionPath::kShardedBatched ? plan.shards : 0);
+  // The execution-path knobs (allow_batched, allow_sharded, shards) are
+  // excluded like the thread count: every path draws in scalar order and is
+  // bit-identical, so a journal written by a scalar run may be finished by
+  // a batched or sharded one.  The two zero words stand where earlier
+  // versions hashed a draw-order flag and a shard count that every route
+  // now fixes, so request keys — and journals and service state written
+  // under them — stay valid.
+  h.update_u64(0);
+  h.update_u64(0);
   h.update_u64(c.shared_graph ? 1 : 0);
   h.update_u64(chunk_size);
   h.update_u64(c.sim.max_rounds);
@@ -353,15 +346,13 @@ void validate_sweep_config(const TrialConfig& config, const char* who) {
 
 /// Rounds the checkpoint interval up to a multiple of the batched
 /// simulator's lane count so chunk boundaries coincide with batch
-/// boundaries: the statistical-lanes mode keys each 64-trial batch's RNG
-/// stream by its first trial index, so chunks must contain whole batches
-/// for resumed runs to replay the exact same batches.
+/// boundaries: every chunk holds whole batches, so each worker unit of the
+/// batched path belongs to exactly one chunk.
 std::size_t effective_chunk_size(const TrialConfig& config) {
   return effective_checkpoint_interval(config.checkpoint_interval);
 }
 
-void init_sweep(SweepState& sweep, const TrialConfig& config, bool local,
-                const ExecutionPlan& plan) {
+void init_sweep(SweepState& sweep, const TrialConfig& config, bool local) {
   sweep.config = &config;
   sweep.chunk_size = effective_chunk_size(config);
   sweep.num_chunks =
@@ -373,8 +364,7 @@ void init_sweep(SweepState& sweep, const TrialConfig& config, bool local,
     sweep.remaining[i].store(0, std::memory_order_relaxed);
   }
   if (!config.journal_path.empty()) {
-    const std::uint64_t request =
-        compute_request_hash(config, local, sweep.chunk_size, plan);
+    const std::uint64_t request = compute_request_hash(config, local, sweep.chunk_size);
     sweep.journal = std::make_unique<SweepJournal>(config.journal_path, request, config.trials,
                                                    sweep.chunk_size);
     if (config.resume) {
@@ -546,19 +536,11 @@ void run_per_trial(const GraphFactory& graphs, const graph::Graph* shared,
   });
 }
 
-/// The lanes of one batch, trials [first, last).  kScalarOrder: lane l
-/// draws from trial first+l's own stream, so it is bit-identical to that
-/// trial's scalar run.  kStatisticalLanes: one base stream, keyed by the
-/// batch's first trial index, is jump()-partitioned into the lane streams
-/// inside the simulator, so records stay deterministic for any thread
-/// count (per (base_seed, trials, mode), not per trial seed).
+/// The lanes of one batch, trials [first, last): lane l draws from trial
+/// first+l's own stream, so it is bit-identical to that trial's scalar run.
 sim::LaneOutcomes run_batch(sim::BatchSimulator& simulator, const graph::Graph& g,
                             sim::BatchProtocol& kernel, std::uint64_t base_seed,
                             std::size_t first, std::size_t last) {
-  if (simulator.rng_mode() == sim::BatchRngMode::kStatisticalLanes) {
-    return simulator.run_outcomes(g, kernel, trial_rng(base_seed, first),
-                                  static_cast<unsigned>(last - first));
-  }
   std::vector<support::Xoshiro256StarStar> rngs;
   rngs.reserve(last - first);
   for (std::size_t trial = first; trial < last; ++trial) {
@@ -567,37 +549,23 @@ sim::LaneOutcomes run_batch(sim::BatchSimulator& simulator, const graph::Graph& 
   return simulator.run_outcomes(g, kernel, std::move(rngs));
 }
 
-/// Sharded-batched lanes (statistical only), seeded exactly like the
-/// batched statistical path.  The (shard, lane) stream partition makes the
-/// sample depend on the shard count, except at K = 1, where it coincides
-/// with BatchSimulator's.
-sim::LaneOutcomes run_batch(sim::ShardedBatchSimulator& simulator,
-                            const graph::Graph& /*bound*/, sim::BatchProtocol& kernel,
-                            std::uint64_t base_seed, std::size_t first, std::size_t last) {
-  return simulator.run_outcomes(kernel, trial_rng(base_seed, first),
-                                static_cast<unsigned>(last - first));
-}
-
-/// Per-batch loop over the shared graph: each worker's simulator, from
-/// `make_simulator(deadline)`, runs every batch it claims as lanes of one
-/// batched kernel and reads the batch's records straight from its final
-/// planes (fill_lane_records).  Seeds, records and the chunked aggregation
-/// are the per-trial loop's, so in kScalarOrder TrialStats match the
-/// scalar path exactly.
-template <typename MakeSimulator>
+/// Per-batch loop over the shared graph: each worker's BatchSimulator runs
+/// every batch it claims as lanes of one batched kernel and reads the
+/// batch's records straight from its final planes (fill_lane_records).
+/// Seeds, records and the chunked aggregation are the per-trial loop's, so
+/// TrialStats match the scalar path exactly.
 void run_per_batch(const graph::Graph& shared, const BeepProtocolFactory& protocols,
-                   const TrialConfig& config, const ExecutionPlan& plan, SweepState& sweep,
-                   MakeSimulator&& make_simulator) {
-  run_units(config, plan.workers, sim::kMaxBatchLanes, sweep, [&](const DeadlinePtr& deadline) {
-    std::unique_ptr<sim::BatchProtocol> kernel = protocols()->make_batch_protocol(plan.rng_mode);
+                   const TrialConfig& config, unsigned workers, SweepState& sweep) {
+  run_units(config, workers, sim::kMaxBatchLanes, sweep, [&](const DeadlinePtr& deadline) {
+    std::unique_ptr<sim::BatchProtocol> kernel = protocols()->make_batch_protocol();
     if (!kernel) {
       // The planning probe saw a kernel but this worker's instance refuses
       // one: the factory returns protocols of varying dynamic type.
       throw std::logic_error(
           "run_beep_trials: protocol factory is inconsistent about make_batch_protocol");
     }
-    return [&, simulator = make_simulator(deadline), kernel = std::move(kernel)](
-               std::size_t first, std::size_t last) mutable {
+    return [&, simulator = sim::BatchSimulator(with_deadline(config.sim, deadline)),
+            kernel = std::move(kernel)](std::size_t first, std::size_t last) mutable {
       fill_lane_records(std::span(sweep.records).subspan(first, last - first), shared,
                         run_batch(simulator, shared, *kernel, config.base_seed, first, last));
     };
@@ -628,15 +596,7 @@ void execute(const ExecutionPlan& plan, const GraphFactory& graphs, const graph:
                     });
       return;
     case ExecutionPath::kBatched:
-      run_per_batch(*shared, protocols, config, plan, sweep, [&](const DeadlinePtr& deadline) {
-        return sim::BatchSimulator(with_deadline(config.sim, deadline), plan.rng_mode);
-      });
-      return;
-    case ExecutionPath::kShardedBatched:
-      run_per_batch(*shared, protocols, config, plan, sweep, [&](const DeadlinePtr& deadline) {
-        return sim::ShardedBatchSimulator(*shared, plan.shards,
-                                          with_deadline(config.sim, deadline), plan.rng_mode);
-      });
+      run_per_batch(*shared, protocols, config, plan.workers, sweep);
       return;
   }
 }
@@ -693,28 +653,15 @@ ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes
     return plan;
   }
 
-  const bool statistical = config.rng_mode == sim::BatchRngMode::kStatisticalLanes;
   const bool batchable = config.allow_batched && config.shared_graph && config.trials > 0 &&
                          !config.sim.record_trace && protocol.batch_kernel;
   const bool shardable = config.allow_sharded && config.shards != 1 && config.trials > 0 &&
                          !config.sim.record_trace && protocol.shard_support;
-  // Auto mode shards only a graph big enough for the per-exchange barriers
-  // to pay off, and only with threads to spare.
-  const bool auto_shard =
-      config.shards == 0 && threads >= 2 && shared_nodes >= config.auto_shard_min_nodes;
-
-  // Sharded-batched: every core and every lane at once.  Statistical lanes
-  // only (the streams are partitioned per (shard, lane)), and only for more
-  // than one batch, which amortises the barriers.
-  if (statistical && batchable && shardable && config.trials > sim::kMaxBatchLanes &&
-      (config.shards >= 2 || auto_shard)) {
-    plan.path = ExecutionPath::kShardedBatched;
-    plan.shards = config.shards >= 2
-                      ? config.shards
-                      : std::min(threads, sim::ShardedBatchSimulator::kMaxShards);
-    plan.workers = 1;
-    plan.rng_mode = config.rng_mode;
-    return plan;
+  // An explicit shard count the protocol cannot honour runs unsharded; say
+  // so instead of dropping the request silently.
+  if (config.shards >= 2 && !protocol.shard_support) {
+    plan.reason = "shards=" + std::to_string(config.shards) +
+                  " requested but the protocol has no sharded support: runs unsharded";
   }
 
   // Sharded, in scalar draw order (bit-identical to scalar): every trial
@@ -727,12 +674,13 @@ ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes
     return plan;
   }
   // Auto mode shards only a lone trial — with several, trial-level
-  // parallelism already fills the machine — and clamps to the ceiling, so
-  // it never rejects a config that ran before sharding existed.  A lone
-  // trial too small to shard runs scalar: it would fill one lane of a
-  // 64-lane batch.
+  // parallelism already fills the machine — on a graph big enough for the
+  // per-exchange barriers to pay off, and clamps to the ceiling, so it
+  // never rejects a config that ran before sharding existed.  A lone trial
+  // too small to shard runs scalar: it would fill one lane of a 64-lane
+  // batch.
   if (shardable && config.trials == 1 && threads >= 2) {
-    if (auto_shard) {
+    if (config.shards == 0 && shared_nodes >= config.auto_shard_min_nodes) {
       plan.path = ExecutionPath::kSharded;
       plan.shards = std::min(threads, sim::ShardedSimulator::kMaxShards);
       plan.workers = 1;
@@ -740,17 +688,13 @@ ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes
     return plan;
   }
 
-  // Batched.  In kScalarOrder a lossy tail-dominated sweep (loss,
-  // keep-alive and a run_until tail) stays scalar: every potential
-  // keep-alive delivery consumes its own per-lane Bernoulli, nothing
-  // amortises, and batching loses to scalar (0.6-0.9x in BENCH_core.json).
-  // Statistical lanes' bulk loss planes flip that trade back.
+  // Batched.  A lossy tail-dominated sweep (loss, keep-alive and a
+  // run_until tail) stays scalar: every potential keep-alive delivery
+  // consumes its own per-lane Bernoulli, nothing amortises, and batching
+  // loses to scalar (0.6-0.9x in BENCH_core.json).
   const bool lossy_tail = config.sim.beep_loss_probability > 0.0 && config.sim.mis_keepalive &&
                           config.sim.run_until_round > 0;
-  if (batchable && (statistical || !lossy_tail)) {
-    plan.path = ExecutionPath::kBatched;
-    plan.rng_mode = config.rng_mode;
-  }
+  if (batchable && !lossy_tail) plan.path = ExecutionPath::kBatched;
   return plan;
 }
 
@@ -772,7 +716,7 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
   {
     const std::unique_ptr<sim::BeepProtocol> probe = protocols();
     capabilities.shard_support = probe->shard_support().supported;
-    capabilities.batch_kernel = probe->make_batch_protocol(config.rng_mode) != nullptr;
+    capabilities.batch_kernel = probe->make_batch_protocol() != nullptr;
   }
   std::unique_ptr<sim::FaultScenario> scenario;
   if (config.scenario) {
@@ -805,11 +749,11 @@ TrialStats run_beep_trials(const GraphFactory& graphs, const BeepProtocolFactory
   const ExecutionPlan plan = plan_execution(cfg, one_graph ? shared.node_count() : 0,
                                             capabilities, live ? &*live : nullptr);
 
-  // The journal's request key hashes the routed config: the materialised
-  // crash_round (a pure function of the caller's config, so an interrupted
-  // invocation and its resume agree on it) and the plan's draw order.
+  // The journal's request key hashes the routed config, including the
+  // materialised crash_round (a pure function of the caller's config, so an
+  // interrupted invocation and its resume agree on it).
   SweepState sweep;
-  init_sweep(sweep, cfg, /*local=*/false, plan);
+  init_sweep(sweep, cfg, /*local=*/false);
   execute(plan, graphs, one_graph ? &shared : nullptr, protocols, cfg, sweep);
   TrialStats stats = assemble(sweep);
   stats.scalar_fallback_reason = plan.reason;
@@ -824,7 +768,7 @@ TrialStats run_local_trials(const GraphFactory& graphs, const LocalProtocolFacto
   }
   validate_sweep_config(config, "run_local_trials");
   SweepState sweep;
-  init_sweep(sweep, config, /*local=*/true, ExecutionPlan{});
+  init_sweep(sweep, config, /*local=*/true);
   graph::Graph shared;
   if (config.shared_graph) shared = build_trial0_graph(graphs, config.base_seed);
   run_per_trial(graphs, config.shared_graph ? &shared : nullptr, protocols, config,

@@ -43,44 +43,23 @@ struct TrialConfig {
   bool shared_graph = false;
   /// Permit the batched 64-lane fast path.  It engages automatically when
   /// shared_graph is set, the protocol provides a batched kernel
-  /// (BeepProtocol::make_batch_protocol), no trace is recorded, and — in
-  /// the default kScalarOrder mode — the workload is not a lossy
-  /// tail-dominated sweep (where per-lane delivery draws make batching a
-  /// pessimisation; see BENCH_core.json's lossy-tail rows).  In
-  /// kScalarOrder results are bit-identical to the scalar path either way,
-  /// so this exists only for A/B testing and benchmarking the two paths.
+  /// (BeepProtocol::make_batch_protocol), no trace is recorded, and the
+  /// workload is not a lossy tail-dominated sweep (where per-lane delivery
+  /// draws make batching a pessimisation; see BENCH_core.json's lossy-tail
+  /// rows).  Results are bit-identical to the scalar path either way, so
+  /// this exists only for A/B testing and benchmarking the two paths.
   bool allow_batched = true;
-  /// Draw-entropy policy of the batched fast path.  kScalarOrder (the
-  /// default) keeps every trial bit-identical to the scalar path.
-  /// kStatisticalLanes opts into jump()-partitioned per-lane streams and
-  /// bulk cross-lane Bernoulli planes: the same per-trial marginal
-  /// distributions from a different sample, which lifts the converge-phase
-  /// batching ceiling and makes lossy tail-dominated sweeps batchable
-  /// again.  TrialStats stay deterministic per (base_seed, trials, mode)
-  /// and thread count, but are not comparable seed-for-seed with
-  /// kScalarOrder runs.  It also unlocks the sharded-batched path (see
-  /// `shards`); scalar and single-run sharded execution always draw in
-  /// scalar order.
-  sim::BatchRngMode rng_mode = sim::BatchRngMode::kScalarOrder;
-  /// Shard-parallel execution (sim/sharded.hpp, sim/sharded_batch.hpp).
-  /// 0 = auto: a lone trial on a graph of at least `auto_shard_min_nodes`
-  /// nodes runs on the scalar-order sharded simulator across `threads`
-  /// (default: hardware) shards, bit-identical to the scalar path; a
-  /// kStatisticalLanes sweep of more than one 64-trial batch on such a
-  /// graph runs sharded-batched — every batch swept by `threads` shards
-  /// at once.  1 = never.  >= 2 = force that shard count: scalar-order
-  /// sweeps run every trial on the sharded simulator (bit-identical to
-  /// scalar), and eligible kStatisticalLanes sweeps run sharded-batched.
-  /// Either way the outer trial loop goes single-worker, since each run
-  /// already uses `shards` threads.  Scalar-order shard routing never
-  /// changes the numbers; the sharded-batched path partitions the
-  /// statistical streams per (shard, lane), so its results are
-  /// deterministic per (base_seed, trials, shard count) but a different
-  /// sample than the unsharded statistical path — the same trade
-  /// kStatisticalLanes already made, one axis further.
+  /// Shard-parallel execution (sim/sharded.hpp).  0 = auto: a lone trial
+  /// on a graph of at least `auto_shard_min_nodes` nodes runs on the
+  /// sharded simulator across `threads` (default: hardware) shards.
+  /// 1 = never.  >= 2 = force that shard count: every trial runs on the
+  /// sharded simulator, and the outer trial loop goes single-worker, since
+  /// each run already uses `shards` threads.  A protocol without sharded
+  /// support runs unsharded, with the reason in
+  /// TrialStats::scalar_fallback_reason.  Sharded runs draw in scalar
+  /// order, so shard routing never changes the numbers.
   unsigned shards = 0;
-  /// Opt-out mirror of allow_batched for the sharded paths (both the
-  /// single-run scalar-order one and the sharded-batched one).
+  /// Opt-out mirror of allow_batched for the sharded path.
   bool allow_sharded = true;
   /// Auto-sharding size threshold: below this a run is too small for the
   /// per-exchange barriers to pay off.  Exposed for tests.
@@ -119,7 +98,7 @@ struct TrialConfig {
   /// family + parameters, protocol identity, scenario parameters.  Mixed
   /// into the journal's request hash so a journal from a different sweep is
   /// rejected instead of silently merged.  (The harness hashes its own
-  /// visible knobs — trials, base_seed, rng_mode, fault vectors, … — on top
+  /// visible knobs — trials, base_seed, fault vectors, … — on top
   /// of this.)
   std::uint64_t request_fingerprint = 0;
   /// Trials per checkpoint chunk.  Rounded up to a multiple of the batched
@@ -198,9 +177,9 @@ struct TrialStats {
   std::size_t disruptions = 0;
   /// Disruptions still unhealed when their runs ended.
   std::size_t unrecovered_disruptions = 0;
-  /// Why the batched/sharded fast paths were refused and the scalar
-  /// simulator ran instead (empty = no forced fallback).  E.g. an adaptive
-  /// fault scenario or recovery tracking.
+  /// Why a batched/sharded fast path was refused (empty = no forced
+  /// fallback).  E.g. an adaptive fault scenario, recovery tracking, or an
+  /// explicit shard count the protocol cannot honour.
   std::string scalar_fallback_reason;
 
   // --- Crash-safe sweep accounting (see TrialConfig's sweep controls).
@@ -260,24 +239,23 @@ struct TrialStats {
 /// The seed of trial `trial`'s run RNG in a sweep rooted at `base_seed`:
 /// node child(trial).child(1) of the SeedSequence tree (child(trial).child(0)
 /// seeds a per-trial graph).  Every execution path draws trial `trial` from
-/// it — a kStatisticalLanes batch from its first trial's — so one trial of
-/// a sweep can be re-run directly, as beepmis_cli's --dot-out does.
+/// it, so one trial of a sweep can be re-run directly, as beepmis_cli's
+/// --dot-out does.
 [[nodiscard]] std::uint64_t trial_run_seed(std::uint64_t base_seed, std::size_t trial);
 
 /// The engine a beeping sweep runs on.  The scalar and sharded paths run
-/// a per-trial loop; the batched paths run a per-batch loop of 64-lane
-/// batches.
+/// a per-trial loop; the batched path runs a per-batch loop of 64-lane
+/// batches.  Every path is bit-identical to the scalar one.
 enum class ExecutionPath : std::uint8_t {
-  kScalar,          ///< BeepSimulator per trial
-  kSharded,         ///< ShardedSimulator per trial (scalar draw order)
-  kBatched,         ///< BatchSimulator per batch
-  kShardedBatched,  ///< one ShardedBatchSimulator per batch (statistical lanes)
+  kScalar,   ///< BeepSimulator per trial
+  kSharded,  ///< ShardedSimulator per trial
+  kBatched,  ///< BatchSimulator per batch
 };
 
 /// What one probe instance of the protocol factory declares.
 struct ProtocolProbe {
   bool shard_support = false;  ///< BeepProtocol::shard_support().supported
-  bool batch_kernel = false;   ///< make_batch_protocol(config.rng_mode) != nullptr
+  bool batch_kernel = false;   ///< make_batch_protocol() != nullptr
 };
 
 /// A fault scenario that runs live through the scalar event driver: any
@@ -288,22 +266,19 @@ struct LiveScenario {
   std::string name;
 };
 
-/// plan_execution's answer: which engine runs the sweep, how wide, with
-/// which draw order, and why the fast paths were refused.
+/// plan_execution's answer: which engine runs the sweep, how wide, and why
+/// a fast path was refused.
 struct ExecutionPlan {
   ExecutionPath path = ExecutionPath::kScalar;
-  /// Shard count of the sharded paths; 1 otherwise.
+  /// Shard count of the sharded path; 1 otherwise.
   unsigned shards = 1;
   /// Worker threads of the outer trial or batch loop: 1 on the sharded
-  /// paths, whose every run already uses `shards` threads.
+  /// path, whose every run already uses `shards` threads.
   unsigned workers = 1;
-  /// The draw order the sweep's numbers come from: kStatisticalLanes only
-  /// on a batched path of a kStatisticalLanes config, kScalarOrder on every
-  /// other route.
-  sim::BatchRngMode rng_mode = sim::BatchRngMode::kScalarOrder;
-  /// Why the fast paths were refused (TrialStats::scalar_fallback_reason);
+  /// Why a fast path was refused (TrialStats::scalar_fallback_reason);
   /// empty unless a live scenario or recovery tracking forced the scalar
-  /// simulator.
+  /// simulator, or an explicit shard count met a protocol without sharded
+  /// support.
   std::string reason;
 };
 

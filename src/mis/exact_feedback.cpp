@@ -6,11 +6,8 @@
 
 namespace beepmis::mis {
 
-std::unique_ptr<sim::BatchProtocol> ExactLocalFeedbackMis::make_batch_protocol(
-    sim::BatchRngMode mode) const {
-  // Both rng modes: the exponent kernel buckets lanes by (clamped) dyadic
-  // exponent and draws bulk planes under kStatisticalLanes.
-  return std::make_unique<BatchExactLocalFeedbackMis>(mode);
+std::unique_ptr<sim::BatchProtocol> ExactLocalFeedbackMis::make_batch_protocol() const {
+  return std::make_unique<BatchExactLocalFeedbackMis>();
 }
 
 void ExactLocalFeedbackMis::on_reset(const graph::Graph& g,

@@ -24,10 +24,7 @@ class ExactLocalFeedbackMis final : public BeepingMisSkeleton {
 
   /// Batched 64-lane kernel (BatchExactLocalFeedbackMis).  Never nullptr:
   /// the class is final and carries no configuration.
-  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol(
-      sim::BatchRngMode mode) const override;
-  // The override hides the base's zero-arg convenience overload; re-expose.
-  using sim::BeepProtocol::make_batch_protocol;
+  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol() const override;
 
   /// Sharded single-run execution: exponent_ is per-node and the hooks
   /// are draw-free.  No typeid guard needed — the class is final.

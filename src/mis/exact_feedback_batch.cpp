@@ -1,6 +1,5 @@
 #include "mis/exact_feedback_batch.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "mis/batch_skeleton.hpp"
@@ -9,25 +8,13 @@ namespace beepmis::mis {
 
 using sim::LaneMask;
 
-namespace {
-/// Statistical-lanes exponent bitplane width; the exponent saturates at
-/// 2^12 - 1 (see the header note on why that is unobservable).
-constexpr unsigned kExpWidth = 12;
-constexpr unsigned kExpMax = (1u << kExpWidth) - 1;
-}  // namespace
-
 void BatchExactLocalFeedbackMis::reset(const graph::Graph& g,
                                        std::span<support::Xoshiro256StarStar> rngs) {
   // n(0, v) = 1 everywhere; the scalar on_reset draws nothing.
   const graph::NodeId n = g.node_count();
   lanes_ = static_cast<unsigned>(rngs.size());
   winner_.assign(n, 0);
-  if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
-    eplanes_.reset(n, kExpWidth, 1);
-    exponent_.clear();
-  } else {
-    exponent_.assign(static_cast<std::size_t>(n) * lanes_, 1);
-  }
+  exponent_.assign(static_cast<std::size_t>(n) * lanes_, 1);
 }
 
 void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
@@ -35,32 +22,13 @@ void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
     // Intent exchange: beep with 2^{-min(n, 1074)}.  The clamp mirrors the
     // scalar beep_probability (2^-1074, the smallest subnormal, is the
     // floor — unlike the floating local-feedback kernel there is no
-    // exact-zero state).  Scalar order: one rng() output per live
-    // (node, lane) in ascending node order, single-sourced in
-    // bernoulli_pow2.  Statistical lanes: chunk planes selected by the
-    // exponent bitplanes, no per-lane loop.
-    if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      // Bulk planes over the exponent bitplanes; the draw is the true
-      // 2^-k (k <= 4095) rather than the clamped 2^-min(k, 1074) — both
-      // are never-in-any-run events, so the marginals are indistinguishable.
-      // Exponents start at 1 and move at most one step per round, so the
-      // sweep skips the provably zero high planes.
-      const unsigned width = eplanes_.width_for(
-          1u + static_cast<unsigned>(std::min<std::size_t>(ctx.round(), kExpMax)));
-      for (const graph::NodeId v : ctx.active_nodes()) {
-        const LaneMask live = ctx.live_mask(v);
-        if (!live) continue;
-        winner_[v] = 0;
-        const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
-        if (beeps) ctx.beep(v, beeps);
-      }
-    } else {
-      batch_skeleton::emit_intent_on_lane_block(
-          ctx, winner_, exponent_,
-          [](support::LaneBlock& block, const std::uint32_t* k, LaneMask live) {
-            return block.draw_pow2(k, live, 1074);
-          });
-    }
+    // exact-zero state).  One rng() output per live (node, lane) in
+    // ascending node order, single-sourced in bernoulli_pow2.
+    batch_skeleton::emit_intent_on_lane_block(
+        ctx, winner_, exponent_,
+        [](support::LaneBlock& block, const std::uint32_t* k, LaneMask live) {
+          return block.draw_pow2(k, live, 1074);
+        });
   } else {
     batch_skeleton::announce_winners(ctx, winner_);
   }
@@ -70,22 +38,6 @@ void BatchExactLocalFeedbackMis::react(sim::BatchContext& ctx) {
   if (ctx.exchange() == 0) {
     // Definition 1 feedback in exponent form: heard -> n + 1 (halve p),
     // silence -> max(n - 1, 1) (double p, capped at 1/2).
-    if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      // Whole-plane feedback: one ripple carry/borrow for all 64 lanes,
-      // floored at 1 and saturating at the bitplane cap.
-      const unsigned width = eplanes_.width_for(
-          1u + static_cast<unsigned>(std::min<std::size_t>(ctx.round() + 1, kExpMax)));
-      for (const graph::NodeId v : ctx.active_nodes()) {
-        const LaneMask live = ctx.live_mask(v);
-        if (!live) continue;
-        const LaneMask heard = ctx.heard_mask(v);
-        winner_[v] = ctx.beeped_mask(v) & ~heard;
-        const LaneMask inc = live & heard & ~eplanes_.equal(v, kExpMax, width);
-        const LaneMask dec = live & ~heard & ~eplanes_.equal(v, 1, width);
-        if ((inc | dec) != 0) eplanes_.update(v, inc, dec);
-      }
-      return;
-    }
     for (const graph::NodeId v : ctx.active_nodes()) {
       const LaneMask live = ctx.live_mask(v);
       if (!live) continue;

@@ -21,13 +21,6 @@ namespace beepmis::mis {
 
 class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
  public:
-  /// Like BatchLocalFeedbackMis: kScalarOrder replays the scalar draws,
-  /// kStatisticalLanes keeps the exponents as bitplanes and draws bulk
-  /// planes (must run on a simulator in the same mode).
-  explicit BatchExactLocalFeedbackMis(
-      sim::BatchRngMode mode = sim::BatchRngMode::kScalarOrder)
-      : mode_(mode) {}
-
   [[nodiscard]] std::string_view name() const override {
     return "local-feedback-exact/batch";
   }
@@ -39,18 +32,12 @@ class BatchExactLocalFeedbackMis final : public sim::BatchProtocol {
   void react(sim::BatchContext& ctx) override;
 
  private:
-  sim::BatchRngMode mode_ = sim::BatchRngMode::kScalarOrder;
   unsigned lanes_ = 0;
   std::vector<sim::LaneMask> winner_;
   /// Node-major per-lane exponents n(v, t): lane l of node v at
   /// [v * lanes_ + l].  uint32 like the scalar protocol's (the round cap
-  /// bounds it far below overflow).  kScalarOrder only.
+  /// bounds it far below overflow).
   std::vector<std::uint32_t> exponent_;
-  /// kStatisticalLanes representation: 12 exponent bitplanes, saturating
-  /// at 4095 where the scalar exponent is unbounded — reaching the cap
-  /// needs ~4000 consecutive heard rounds while the draw already clamps at
-  /// 2^-1074, so no observable run can tell the difference.
-  batch_skeleton::ExponentPlanes eplanes_;
 };
 
 }  // namespace beepmis::mis

@@ -11,12 +11,9 @@ GlobalScheduleMis::GlobalScheduleMis(std::unique_ptr<Schedule> schedule)
   if (!schedule_) throw std::invalid_argument("GlobalScheduleMis: null schedule");
 }
 
-std::unique_ptr<sim::BatchProtocol> GlobalScheduleMis::make_batch_protocol(
-    sim::BatchRngMode /*mode*/) const {
+std::unique_ptr<sim::BatchProtocol> GlobalScheduleMis::make_batch_protocol() const {
   // No typeid guard needed: the class is final, so no subclass can inherit
-  // this override with changed behaviour.  The kernel serves both rng
-  // modes (under kStatisticalLanes the shared round probability becomes
-  // one bulk Bernoulli plane per node).
+  // this override with changed behaviour.
   return std::make_unique<BatchGlobalScheduleMis>(schedule_);
 }
 

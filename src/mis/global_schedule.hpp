@@ -27,10 +27,7 @@ class GlobalScheduleMis final : public BeepingMisSkeleton {
   /// Batched 64-lane kernel (BatchGlobalScheduleMis), sharing this
   /// protocol's schedule.  Never nullptr: the class is final and the
   /// skeleton's round structure is fully reproduced by the kernel.
-  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol(
-      sim::BatchRngMode mode) const override;
-  // The override hides the base's zero-arg convenience overload; re-expose.
-  using sim::BeepProtocol::make_batch_protocol;
+  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol() const override;
 
   /// Sharded single-run execution: the schedule is immutable and read by
   /// round only, so the hooks are trivially per-node safe.  No typeid

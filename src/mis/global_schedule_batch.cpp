@@ -23,24 +23,17 @@ void BatchGlobalScheduleMis::reset(const graph::Graph& g,
 void BatchGlobalScheduleMis::emit(sim::BatchContext& ctx) {
   if (ctx.exchange() == 0) {
     // Intent exchange: every live (node, lane) beeps with the round's
-    // scheduled probability.  The probability is shared by all lanes, so
-    // statistical mode turns the whole node into one bulk Bernoulli(p)
-    // plane; scalar order draws one output per pair in ascending node
-    // order — each lane's subsequence is exactly its scalar draw order.
+    // scheduled probability, one output per pair in ascending node order —
+    // each lane's subsequence is exactly its scalar draw order.
     const double p = schedule_->probability(ctx.round());
-    const bool planes = ctx.rng_mode() == sim::BatchRngMode::kStatisticalLanes;
     for (const graph::NodeId v : ctx.active_nodes()) {
       const LaneMask live = ctx.live_mask(v);
       if (!live) continue;
       winner_[v] = 0;
       LaneMask beeps = 0;
-      if (planes) {
-        beeps = ctx.bernoulli_plane(p, live);
-      } else {
-        for (LaneMask b = live; b != 0; b &= b - 1) {
-          const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-          if (ctx.rng(l).bernoulli(p)) beeps |= LaneMask{1} << l;
-        }
+      for (LaneMask b = live; b != 0; b &= b - 1) {
+        const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+        if (ctx.rng(l).bernoulli(p)) beeps |= LaneMask{1} << l;
       }
       if (beeps) ctx.beep(v, beeps);
     }

@@ -8,15 +8,12 @@
 
 namespace beepmis::mis {
 
-std::unique_ptr<sim::BatchProtocol> LocalFeedbackMis::make_batch_protocol(
-    sim::BatchRngMode mode) const {
+std::unique_ptr<sim::BatchProtocol> LocalFeedbackMis::make_batch_protocol() const {
   // Exact-type guard: subclasses inherit this override but add behaviour
   // (reactivation hooks, different reset draws) the batched kernel does not
-  // reproduce, so only the base protocol itself is batch-capable.  The
-  // kernel is built for the requested mode (kStatisticalLanes switches it
-  // to the bitplane exponent representation and bulk-plane draws).
+  // reproduce, so only the base protocol itself is batch-capable.
   if (typeid(*this) != typeid(LocalFeedbackMis)) return nullptr;
-  return std::make_unique<BatchLocalFeedbackMis>(config_, mode);
+  return std::make_unique<BatchLocalFeedbackMis>(config_);
 }
 
 sim::ShardSupport LocalFeedbackMis::shard_support() const {

@@ -38,16 +38,12 @@ class LocalFeedbackMis : public BeepingMisSkeleton {
 
   [[nodiscard]] std::string_view name() const override { return "local-feedback"; }
 
-  /// Batched 64-lane kernel (BatchLocalFeedbackMis; supports both rng
-  /// modes — the dyadic fast path vectorises its intent draws into bulk
-  /// planes under kStatisticalLanes).  Returns nullptr from subclasses: a
+  /// Batched 64-lane kernel (BatchLocalFeedbackMis).  Returns nullptr
+  /// from subclasses: a
   /// derived protocol (e.g. self-healing) changes behaviour the batched
   /// kernel does not model, and silently batching it would break the
   /// lane-for-lane identity contract.
-  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol(
-      sim::BatchRngMode mode) const override;
-  // The override hides the base's zero-arg convenience overload; re-expose.
-  using sim::BeepProtocol::make_batch_protocol;
+  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol() const override;
 
   /// Sharded single-run execution (sim::ShardedSimulator): the skeleton's
   /// one-draw-per-active-node contract holds and all hook state (p_,

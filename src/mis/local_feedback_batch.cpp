@@ -30,15 +30,10 @@ using sim::LaneMask;
 /// 2^-1074 is the smallest subnormal, and 2^-1075 rounds to even (0).
 constexpr std::uint16_t kZeroExponent = support::LaneBlock::kZeroExponent;
 
-/// Bitplane width of the statistical-lanes exponent representation; every
-/// reachable exponent (<= kZeroExponent) fits in 11 bits.
-constexpr unsigned kExpWidth = 11;
-
 }  // namespace
 
-BatchLocalFeedbackMis::BatchLocalFeedbackMis(LocalFeedbackConfig config,
-                                             sim::BatchRngMode mode)
-    : config_(config), mode_(mode) {
+BatchLocalFeedbackMis::BatchLocalFeedbackMis(LocalFeedbackConfig config)
+    : config_(config) {
   config_.validate();
 }
 
@@ -59,14 +54,7 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
     // Scalar reset clamps p0 to max_p, i.e. k = max(k0, k_cap); no draws.
     k_min_ = static_cast<std::uint16_t>(k_cap);
     k_reset_ = static_cast<std::uint16_t>(std::max(k0, k_cap));
-    if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      // Bitplane representation: every reachable exponent is in
-      // [k_min_, kZeroExponent], so 11 planes (2^11 = 2048) cover it.
-      eplanes_.reset(n, kExpWidth, k_reset_);
-      k_.clear();
-    } else {
-      k_.assign(static_cast<std::size_t>(n) * lanes_, k_reset_);
-    }
+    k_.assign(static_cast<std::size_t>(n) * lanes_, k_reset_);
     p_.clear();
     factor_.clear();
     return;
@@ -99,11 +87,7 @@ void BatchLocalFeedbackMis::reset(const graph::Graph& g,
 
 void BatchLocalFeedbackMis::reset_lane_probability(graph::NodeId v, unsigned lane) {
   if (dyadic_) {
-    if (mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      eplanes_.set_lane(v, lane, k_reset_);
-    } else {
-      k_[static_cast<std::size_t>(v) * lanes_ + lane] = k_reset_;
-    }
+    k_[static_cast<std::size_t>(v) * lanes_ + lane] = k_reset_;
   } else {
     p_[static_cast<std::size_t>(v) * lanes_ + lane] =
         std::min(config_.initial_p_low, config_.max_p);
@@ -119,28 +103,6 @@ void BatchLocalFeedbackMis::emit_intent_dyadic(sim::BatchContext& ctx) {
       ctx, winner_, k_, [](support::LaneBlock& block, const std::uint16_t* k, LaneMask live) {
         return block.draw_pow2(k, live);
       });
-}
-
-void BatchLocalFeedbackMis::emit_intent_dyadic_planes(sim::BatchContext& ctx) {
-  // Statistical lanes: one node's per-lane Bernoulli(2^-k) draws collapse
-  // into a handful of shared chunk planes selected by the exponent
-  // bitplanes — no per-lane loop and ~log2(lanes) bulk 64-bit draws where
-  // the scalar-order path pays one serially dependent rng() call per live
-  // lane.  (A lane at the exact-zero exponent fires with true probability
-  // 2^-1075 here instead of never — unobservable, and closer to the ideal
-  // protocol than the double underflow.)
-  // Exponents move at most one step per round, so planes above
-  // bit_width(k_reset + round) are provably zero and the sweep skips them.
-  const unsigned width = eplanes_.width_for(
-      static_cast<unsigned>(k_reset_) + static_cast<unsigned>(
-          std::min<std::size_t>(ctx.round(), kZeroExponent)));
-  for (const graph::NodeId v : ctx.active_nodes()) {
-    const LaneMask live = ctx.live_mask(v);
-    if (!live) continue;
-    winner_[v] = 0;
-    const LaneMask beeps = eplanes_.draw(ctx, v, live, width);
-    if (beeps) ctx.beep(v, beeps);
-  }
 }
 
 void BatchLocalFeedbackMis::emit_intent_general(sim::BatchContext& ctx) {
@@ -160,14 +122,9 @@ void BatchLocalFeedbackMis::emit_intent_general(sim::BatchContext& ctx) {
 
 void BatchLocalFeedbackMis::emit(sim::BatchContext& ctx) {
   if (ctx.exchange() == 0) {
-    // Intent exchange: each live (node, lane) beeps with its probability.
-    // Scalar order draws from the lane's own RNG in ascending node order;
-    // statistical mode vectorises the dyadic draws into bulk planes (the
-    // general path keeps per-lane draws — heterogeneous probabilities
-    // cannot share planes — but from jump()-partitioned streams).
-    if (dyadic_ && mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      emit_intent_dyadic_planes(ctx);
-    } else if (dyadic_) {
+    // Intent exchange: each live (node, lane) beeps with its probability,
+    // drawing from the lane's own RNG in ascending node order.
+    if (dyadic_) {
       emit_intent_dyadic(ctx);
     } else {
       emit_intent_general(ctx);
@@ -187,21 +144,6 @@ void BatchLocalFeedbackMis::react_feedback(sim::BatchContext& ctx) {
     // A beeper that heard nothing won the intent exchange (Table 1).
     winner_[v] = ctx.beeped_mask(v) & ~heard;
     const std::size_t base = static_cast<std::size_t>(v) * lanes_;
-    if (dyadic_ && mode_ == sim::BatchRngMode::kStatisticalLanes) {
-      // Whole-plane feedback: the +-1 exponent updates of all 64 lanes are
-      // one ripple carry/borrow over the bitplanes, gated by the same
-      // sticky-zero and k_min rules as the per-lane loop below.  Until
-      // round ~1075 the sticky-zero probe is a single compare (no lane can
-      // have reached it yet).
-      const unsigned width = eplanes_.width_for(
-          static_cast<unsigned>(k_reset_) + static_cast<unsigned>(
-              std::min<std::size_t>(ctx.round() + 1, kZeroExponent)));
-      const LaneMask movable = live & ~eplanes_.equal(v, kZeroExponent, width);
-      const LaneMask inc = movable & heard;
-      const LaneMask dec = movable & ~heard & ~eplanes_.equal(v, k_min_, width);
-      if ((inc | dec) != 0) eplanes_.update(v, inc, dec);
-      continue;
-    }
     if (dyadic_) {
       // Exponent form of the feedback rule: /2 is k+1 (sticking at exact
       // zero), *2-capped-at-max_p is k-1 floored at k_min.

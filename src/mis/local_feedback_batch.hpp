@@ -20,13 +20,7 @@ namespace beepmis::mis {
 
 class BatchLocalFeedbackMis : public sim::BatchProtocol {
  public:
-  /// `mode` selects the draw-entropy representation the kernel maintains:
-  /// kScalarOrder replays the scalar protocol draw-for-draw, while
-  /// kStatisticalLanes keeps the dyadic exponents as bitplanes and draws
-  /// bulk Bernoulli planes (it must run on a simulator in the same mode —
-  /// the bulk-plane context APIs reject kScalarOrder simulators).
-  explicit BatchLocalFeedbackMis(LocalFeedbackConfig config = LocalFeedbackConfig::paper(),
-                                 sim::BatchRngMode mode = sim::BatchRngMode::kScalarOrder);
+  explicit BatchLocalFeedbackMis(LocalFeedbackConfig config = LocalFeedbackConfig::paper());
 
   [[nodiscard]] std::string_view name() const override { return "local-feedback/batch"; }
   [[nodiscard]] unsigned exchanges_per_round() const override { return 2; }
@@ -40,7 +34,7 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
   // For maintenance subclasses (the batched mirror of
   // LocalFeedbackMis::set_probability with the scalar healing argument):
   // reset lane l of node v to min(initial_p_low, max_p), in whichever
-  // representation (dyadic exponent / double) this kernel is running.
+  // representation (dyadic exponent / double) this config runs.
   void reset_lane_probability(graph::NodeId v, unsigned lane);
 
   [[nodiscard]] unsigned lane_count() const noexcept { return lanes_; }
@@ -48,12 +42,10 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
 
  private:
   void emit_intent_dyadic(sim::BatchContext& ctx);
-  void emit_intent_dyadic_planes(sim::BatchContext& ctx);
   void emit_intent_general(sim::BatchContext& ctx);
   void react_feedback(sim::BatchContext& ctx);
 
   LocalFeedbackConfig config_;
-  sim::BatchRngMode mode_ = sim::BatchRngMode::kScalarOrder;
   unsigned lanes_ = 0;
   std::vector<sim::LaneMask> winner_;
 
@@ -72,12 +64,7 @@ class BatchLocalFeedbackMis : public sim::BatchProtocol {
   bool dyadic_ = false;
   std::uint16_t k_min_ = 1;    ///< exponent of max_p (cap on silence)
   std::uint16_t k_reset_ = 1;  ///< exponent of min(initial_p_low, max_p)
-  std::vector<std::uint16_t> k_;  ///< node-major per-lane exponents (kScalarOrder)
-  /// kStatisticalLanes representation of the same exponents: bitplanes, so
-  /// the intent draw and the feedback +-1 are whole-plane operations with
-  /// no per-lane loop at all (see batch_skeleton.hpp::ExponentPlanes).
-  /// Only the constructed mode's representation is populated.
-  batch_skeleton::ExponentPlanes eplanes_;
+  std::vector<std::uint16_t> k_;  ///< node-major per-lane exponents
 
   // --- General path -----------------------------------------------------
   /// Node-major per-lane policy state: lane l of node v at [v * lanes_ + l],

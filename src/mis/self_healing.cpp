@@ -6,11 +6,8 @@
 
 namespace beepmis::mis {
 
-std::unique_ptr<sim::BatchProtocol> SelfHealingLocalFeedbackMis::make_batch_protocol(
-    sim::BatchRngMode mode) const {
-  // Both rng modes: the healing pass is draw-free, and the inherited
-  // local-feedback emit vectorises under kStatisticalLanes.
-  return std::make_unique<BatchSelfHealingMis>(config_, mode);
+std::unique_ptr<sim::BatchProtocol> SelfHealingLocalFeedbackMis::make_batch_protocol() const {
+  return std::make_unique<BatchSelfHealingMis>(config_);
 }
 
 sim::ShardSupport SelfHealingLocalFeedbackMis::shard_support() const {

@@ -36,10 +36,7 @@ class SelfHealingLocalFeedbackMis final : public LocalFeedbackMis {
   /// that LocalFeedbackMis's typeid guard hands to subclasses: the healing
   /// kernel reproduces the reactivation pass, so this final class is
   /// batch-capable again.
-  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol(
-      sim::BatchRngMode mode) const override;
-  // The override hides the base's zero-arg convenience overload; re-expose.
-  using sim::BeepProtocol::make_batch_protocol;
+  [[nodiscard]] std::unique_ptr<sim::BatchProtocol> make_batch_protocol() const override;
 
   /// Sharded execution is supported: the healing pass is draw-free and
   /// strictly per-node (silence counters, probability resets, reactivate

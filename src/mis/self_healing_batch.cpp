@@ -7,8 +7,8 @@ namespace beepmis::mis {
 
 using sim::LaneMask;
 
-BatchSelfHealingMis::BatchSelfHealingMis(SelfHealingConfig config, sim::BatchRngMode mode)
-    : BatchLocalFeedbackMis(config.base, mode),
+BatchSelfHealingMis::BatchSelfHealingMis(SelfHealingConfig config)
+    : BatchLocalFeedbackMis(config.base),
       silence_threshold_(config.silence_threshold) {
   if (silence_threshold_ == 0) {
     throw std::invalid_argument("BatchSelfHealingMis: silence_threshold must be >= 1");
@@ -36,13 +36,10 @@ void BatchSelfHealingMis::heal(sim::BatchContext& ctx) {
   // keep-alive beeps — a dominated node with a live dominator always
   // hears, so its silence counter stays at zero.  Lanes outside
   // running_mask are frozen: their scalar runs have already returned.
-  // Scan only this context's node range — the whole graph in the batched
-  // core, one shard's slice in the sharded-batched core (each shard heals
-  // its own nodes; reactivation counts accumulate in the context's sink).
   const LaneMask running = ctx.running_mask();
   const unsigned lanes = lane_count();
-  const graph::NodeId end = ctx.node_end();
-  for (graph::NodeId v = ctx.node_begin(); v < end; ++v) {
+  const graph::NodeId n = ctx.graph().node_count();
+  for (graph::NodeId v = 0; v < n; ++v) {
     const LaneMask dom = ctx.dominated_mask(v) & running;
     if (!dom) continue;
     const LaneMask heard = ctx.heard_mask(v);

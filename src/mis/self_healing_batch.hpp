@@ -24,8 +24,7 @@ namespace beepmis::mis {
 
 class BatchSelfHealingMis final : public BatchLocalFeedbackMis {
  public:
-  explicit BatchSelfHealingMis(SelfHealingConfig config = {},
-                               sim::BatchRngMode mode = sim::BatchRngMode::kScalarOrder);
+  explicit BatchSelfHealingMis(SelfHealingConfig config = {});
 
   [[nodiscard]] std::string_view name() const override {
     return "local-feedback-healing/batch";

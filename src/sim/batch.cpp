@@ -14,33 +14,28 @@ namespace beepmis::sim {
 // sim/flag_buffer.hpp (templated over the flag value), and the wake/crash
 // loop, lane retirement, plane delivery, and result extraction live in
 // sim/exchange_core.hpp — this file is only the batched *front-end*:
-// context wiring, the per-exchange choreography, and the kScalarOrder
+// context wiring, the per-exchange choreography, and the per-lane
 // draw-order paths no other front-end shares.
 
 void BatchContext::join_mis(graph::NodeId v, LaneMask lanes) {
   if (phase_ != Phase::kReact) {
     throw std::logic_error("BatchContext::join_mis called outside the react phase");
   }
-  if (v < lo_ || v >= hi_ || lanes == 0 || (lanes & ~(*live_)[v]) != 0) {
-    throw std::logic_error(
-        "BatchContext::join_mis outside the node's live lanes or this shard's range");
+  if (v >= live_->size() || lanes == 0 || (lanes & ~(*live_)[v]) != 0) {
+    throw std::logic_error("BatchContext::join_mis outside the node's live lanes");
   }
   (*live_)[v] &= ~lanes;
   (*inmis_)[v] |= lanes;
   for (LaneMask b = lanes; b != 0; b &= b - 1) {
     const unsigned l = static_cast<unsigned>(std::countr_zero(b));
     --active_count_[l];
-    // Per-lane join order, like the scalar core (consumed by kScalarOrder
-    // lossy keep-alive; absent in the statistical-only sharded core).
-    if (mis_lists_ != nullptr) (*mis_lists_)[l].push_back(v);
+    // Per-lane join order, like the scalar core (lossy keep-alive draws
+    // iterate it).
+    (*mis_lists_)[l].push_back(v);
   }
-  if (in_mis_union_ == nullptr) {
-    // Per-shard new-joins list: the coordinator merges and dedups into the
-    // global union at the round boundary.
-    mis_joins_->push_back(v);
-  } else if (!(*in_mis_union_)[v]) {
+  if (!(*in_mis_union_)[v]) {
     (*in_mis_union_)[v] = 1;
-    mis_joins_->push_back(v);
+    mis_union_->push_back(v);
   }
   *mis_hear_valid_ = false;
 }
@@ -49,9 +44,8 @@ void BatchContext::deactivate(graph::NodeId v, LaneMask lanes) {
   if (phase_ != Phase::kReact) {
     throw std::logic_error("BatchContext::deactivate called outside the react phase");
   }
-  if (v < lo_ || v >= hi_ || lanes == 0 || (lanes & ~(*live_)[v]) != 0) {
-    throw std::logic_error(
-        "BatchContext::deactivate outside the node's live lanes or this shard's range");
+  if (v >= live_->size() || lanes == 0 || (lanes & ~(*live_)[v]) != 0) {
+    throw std::logic_error("BatchContext::deactivate outside the node's live lanes");
   }
   (*live_)[v] &= ~lanes;
   (*dominated_)[v] |= lanes;
@@ -64,10 +58,8 @@ void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
   if (phase_ != Phase::kReact) {
     throw std::logic_error("BatchContext::reactivate called outside the react phase");
   }
-  if (v < lo_ || v >= hi_ || lanes == 0 || (lanes & ~(*dominated_)[v]) != 0) {
-    throw std::logic_error(
-        "BatchContext::reactivate outside the node's dominated lanes or this shard's "
-        "range");
+  if (v >= dominated_->size() || lanes == 0 || (lanes & ~(*dominated_)[v]) != 0) {
+    throw std::logic_error("BatchContext::reactivate outside the node's dominated lanes");
   }
   // A lane that left the round loop has frozen planes; reactivating into it
   // would corrupt the lane's already-final RunResult.
@@ -84,8 +76,7 @@ void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
   reactivated_->push_back(v);
 }
 
-BatchSimulator::BatchSimulator(SimConfig config, BatchRngMode rng_mode)
-    : config_(std::move(config)), rng_mode_(rng_mode) {
+BatchSimulator::BatchSimulator(SimConfig config) : config_(std::move(config)) {
   if (config_.beep_loss_probability < 0.0 || config_.beep_loss_probability >= 1.0) {
     throw std::invalid_argument("SimConfig: beep_loss_probability must be in [0, 1)");
   }
@@ -174,25 +165,6 @@ void BatchSimulator::deliver_beeps() {
     return;
   }
 
-  if (rng_mode_ == BatchRngMode::kStatisticalLanes) {
-    // Statistical lanes: loss bits for *all* lanes of an edge come from
-    // one bulk Bernoulli plane instead of popcount(avail) serially
-    // dependent per-lane draws — this is what flips the lossy-tail rows
-    // back above 1x (BENCH_core.json).  Keep-alive needs no join-order
-    // iteration either: the union MIS in ascending order has the same
-    // per-lane marginals.
-    detail::deliver_planes_lossy(
-        beepers_, [this](graph::NodeId v) { return beeped_[v]; }, full_adjacency, keep,
-        bulk_rng_, heard_, heard_dirty_);
-    if (config_.mis_keepalive) {
-      const LaneMask running = running_;
-      detail::deliver_planes_lossy(
-          mis_union_, [this, running](graph::NodeId v) { return inmis_[v] & running; },
-          full_adjacency, keep, bulk_rng_, heard_, heard_dirty_);
-    }
-    return;
-  }
-
   // Lossy channel, scalar order: every potential (beeper -> not-yet-hearing
   // listener) delivery consumes exactly one Bernoulli draw from that
   // lane's RNG, in the scalar iteration order (ascending beepers, CSR
@@ -241,41 +213,6 @@ void BatchSimulator::compact_active() {
 
 LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
                                           std::vector<support::Xoshiro256StarStar> rngs) {
-  if (rng_mode_ != BatchRngMode::kScalarOrder) {
-    throw std::logic_error(
-        "BatchSimulator: per-lane rng vectors belong to kScalarOrder; a "
-        "kStatisticalLanes run is seeded by one base stream (run(g, protocol, "
-        "base, lanes))");
-  }
-  return run_lanes(g, protocol, std::move(rngs));
-}
-
-LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
-                                          support::Xoshiro256StarStar base, unsigned lanes) {
-  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
-    throw std::logic_error(
-        "BatchSimulator: base-seeded runs belong to kStatisticalLanes; a "
-        "kScalarOrder run takes one rng per lane");
-  }
-  if (lanes == 0 || lanes > kMaxBatchLanes) {
-    throw std::invalid_argument("BatchSimulator::run: need 1..64 lanes");
-  }
-  // Lane l's stream is the base advanced by l+1 jumps, so it depends only
-  // on (seed, l); the base itself serves the bulk planes.  Windows of
-  // 2^128 outputs apart can never overlap in any realistic run.
-  bulk_rng_ = base;
-  std::vector<support::Xoshiro256StarStar> rngs;
-  rngs.reserve(lanes);
-  support::Xoshiro256StarStar stream = base;
-  for (unsigned l = 0; l < lanes; ++l) {
-    stream.jump();
-    rngs.push_back(stream);
-  }
-  return run_lanes(g, protocol, std::move(rngs));
-}
-
-LaneOutcomes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& protocol,
-                                       std::vector<support::Xoshiro256StarStar> rngs) {
   BEEPMIS_STM_DECLARE(faults, "batch/faults");
   BEEPMIS_STM_DECLARE(emit, "batch/emit");
   BEEPMIS_STM_DECLARE(deliver, "batch/deliver");
@@ -342,17 +279,13 @@ LaneOutcomes BatchSimulator::run_lanes(const graph::Graph& g, BatchProtocol& pro
   ctx.beep_counts_ = beep_counts_.data();
   ctx.active_count_ = active_count_.data();
   ctx.mis_lists_ = &mis_lists_;
-  ctx.mis_joins_ = &mis_union_;
+  ctx.mis_union_ = &mis_union_;
   ctx.in_mis_union_ = &in_mis_union_;
   ctx.mis_hear_valid_ = &mis_hear_valid_;
   ctx.reactivated_ = &reactivated_;
   ctx.reactivation_counts_ = reactivation_counts_.data();
   ctx.running_ = &running_;
-  ctx.bulk_rng_ = &bulk_rng_;
   ctx.rngs_ = &rngs_;
-  ctx.rng_mode_ = rng_mode_;
-  ctx.lo_ = 0;
-  ctx.hi_ = n;
   ctx.lane_count_ = lanes;
 
   while (running_ != 0) {

@@ -12,8 +12,7 @@
 // least one lane) drives the activity-bound tail exactly as in the scalar
 // core.
 //
-// Determinism contract (BatchRngMode::kScalarOrder, the default): lane l
-// of a batched run is bit-identical to a scalar BeepSimulator run with the
+// Determinism contract: lane l of a batched run is bit-identical to a scalar BeepSimulator run with the
 // same (graph, protocol config, rng).  Each lane owns its own RNG stream
 // and consumes it in exactly the scalar order: protocol-reset draws, then
 // per round ascending-id emit draws, then (in lossy mode) one Bernoulli
@@ -21,17 +20,6 @@
 // deliveries in per-lane MIS join order.  Lanes that terminate stop
 // consuming randomness and freeze their planes.  See src/sim/README.md
 // ("Batched lanes") for the full contract.
-//
-// BatchRngMode::kStatisticalLanes (opt-in) relaxes that contract to
-// per-lane *marginal distributions*: the run is seeded by one base stream,
-// lane l draws from the base advanced by l+1 jump() calls (deterministic
-// per (seed, lane), no scalar draw-order carving), and the base stream
-// itself becomes a shared bulk-plane stream from which kernels draw one
-// 64-bit word per Bernoulli *plane* — all lanes of a dyadic exponent
-// bucket, or all lanes of a lossy edge delivery, decided at once.  Results
-// are deterministic per (seed, lane count, mode) but not comparable
-// seed-for-seed with scalar runs; see src/sim/README.md ("Statistical
-// lanes") for when the trade is sound.
 //
 // Not supported (callers must fall back to the scalar core): event traces,
 // round observers, and protocols without a batched kernel
@@ -58,14 +46,9 @@ namespace beepmis::sim {
 // above) alongside the plane half of the exchange engine.
 
 class BatchSimulator;
-class ShardedBatchSimulator;
 
 /// Per-exchange view handed to batched protocols.  Mirrors BeepContext but
-/// every query answers for all lanes at once via a LaneMask.  Like the
-/// scalar context it is wired at a *sink*: the batched front-end wires one
-/// context covering [0, n); the sharded-batched front-end wires one per
-/// Partition slice, which is what lets K shards run one kernel's
-/// emit/react concurrently over disjoint node ranges.
+/// every query answers for all lanes at once via a LaneMask.
 class BatchContext {
  public:
   [[nodiscard]] const graph::Graph& graph() const noexcept { return *graph_; }
@@ -79,14 +62,6 @@ class BatchContext {
   [[nodiscard]] const std::vector<graph::NodeId>& active_nodes() const noexcept {
     return *active_;
   }
-
-  /// The id range [node_begin, node_end) this context may mutate: the whole
-  /// graph in the batched core, one shard's slice in the sharded-batched
-  /// core.  Kernels whose react scans *all* nodes (not just active ones —
-  /// e.g. self-healing silence counters) must restrict that scan to this
-  /// range or the sharded-batched core would visit each node K times.
-  [[nodiscard]] graph::NodeId node_begin() const noexcept { return lo_; }
-  [[nodiscard]] graph::NodeId node_end() const noexcept { return hi_; }
 
   /// Lanes in which v is active and awake (i.e. on lane l's active list).
   [[nodiscard]] LaneMask live_mask(graph::NodeId v) const { return (*live_)[v]; }
@@ -120,52 +95,17 @@ class BatchContext {
   /// from the next round, when v rejoins the union active frontier.
   void reactivate(graph::NodeId v, LaneMask lanes);
 
-  /// Lane l's private RNG stream.  In kScalarOrder mode it is identical to
-  /// the scalar run's rng; in kStatisticalLanes mode it is the lane's
-  /// jump()-partitioned stream (for draws that cannot be vectorised, e.g.
-  /// per-lane heterogeneous probabilities).
+  /// Lane l's private RNG stream, identical to the scalar run's rng.
   [[nodiscard]] support::Xoshiro256StarStar& rng(unsigned lane) noexcept {
     return (*rngs_)[lane];
   }
 
-  /// The simulator's draw-entropy mode; kernels that vectorise draws must
-  /// branch on this (the bulk-plane APIs below throw in kScalarOrder).
-  [[nodiscard]] BatchRngMode rng_mode() const noexcept { return rng_mode_; }
-
-  // --- Bulk-plane draws (kStatisticalLanes only) -----------------------
-  // One shared stream serves all lanes: every call consumes whole 64-bit
-  // outputs, bit l of a plane is an independent fair bit for lane l.  The
-  // draw *count* of the masked variants depends on the mask (early exit
-  // once every requested lane is decided), which is fine — statistical
-  // mode has no draw-order contract — but it is why results depend on the
-  // lane count as well as the seed.
-
-  /// 64 independent fair bits, one per lane (callers mask as needed).
-  [[nodiscard]] LaneMask random_plane();
-  /// Independent Bernoulli(2^-k) bits for the lanes in `lanes` (zero
-  /// elsewhere): the AND of k planes, early-exiting once no requested lane
-  /// survives, so the expected cost is min(k, ~log2(popcount(lanes)) + 1)
-  /// draws.  k >= 1075 returns the empty plane without drawing, matching
-  /// bernoulli_pow2's underflow-to-never endpoint.
-  [[nodiscard]] LaneMask bernoulli_plane_pow2(unsigned k, LaneMask lanes);
-  /// Independent Bernoulli(p) bits for the lanes in `lanes`: each lane's
-  /// uniform bit stream is compared against the binary expansion of p and
-  /// the first differing bit decides, so the draw is exact for every
-  /// double p at ~log2(popcount(lanes)) + 2 expected planes — where the
-  /// scalar path spends popcount(lanes) serially dependent rng() calls.
-  [[nodiscard]] LaneMask bernoulli_plane(double p, LaneMask lanes);
-
  private:
   friend class BatchSimulator;
-  friend class ShardedBatchSimulator;
   enum class Phase { kEmit, kReact };
 
-  // The context is a bundle of direct pointers into its front-end's
-  // bookkeeping (no simulator backpointer): the batched core wires one
-  // context at its global arrays; the sharded-batched core wires one per
-  // shard, pointing the mutable lists (beepers, joins, reactivations,
-  // active counts) at per-shard storage while the planes stay global
-  // (each shard writes only its own [lo, hi) rows).
+  // The context is a bundle of direct pointers into the batched core's
+  // bookkeeping (no simulator backpointer).
   const graph::Graph* graph_ = nullptr;
   const std::vector<graph::NodeId>* active_ = nullptr;
   std::vector<LaneMask>* live_ = nullptr;
@@ -176,27 +116,17 @@ class BatchContext {
   const std::vector<LaneMask>* heard_ = nullptr;
   std::vector<graph::NodeId>* beepers_ = nullptr;
   std::uint32_t* beep_counts_ = nullptr;  ///< node-major, lane_count_ stride
-  std::uint32_t* active_count_ = nullptr;  ///< per-lane, this context's slice
-  /// Per-lane live-MIS join-order lists; nullptr when the front-end does
-  /// not maintain them (the sharded-batched core is statistical-only, so
-  /// nothing consumes join order).
+  std::uint32_t* active_count_ = nullptr;  ///< per lane
+  /// Per-lane live-MIS join-order lists (lossy keep-alive draw order).
   std::vector<std::vector<graph::NodeId>>* mis_lists_ = nullptr;
-  /// Where join_mis records new members: the global union list (batched
-  /// core, deduplicated through in_mis_union_) or a per-shard new-joins
-  /// list merged at the round boundary (sharded-batched core, dedup at the
-  /// coordinator; in_mis_union_ is nullptr there).
-  std::vector<graph::NodeId>* mis_joins_ = nullptr;
+  /// Union of every lane's MIS members, deduplicated through in_mis_union_.
+  std::vector<graph::NodeId>* mis_union_ = nullptr;
   std::vector<std::uint8_t>* in_mis_union_ = nullptr;
   bool* mis_hear_valid_ = nullptr;
   std::vector<graph::NodeId>* reactivated_ = nullptr;
   std::uint64_t* reactivation_counts_ = nullptr;  ///< per-lane
   const LaneMask* running_ = nullptr;
-  /// Bulk-plane stream (kStatisticalLanes): the batched core's base
-  /// stream, or this shard's own bulk stream in the sharded-batched core.
-  support::Xoshiro256StarStar* bulk_rng_ = nullptr;
   std::vector<support::Xoshiro256StarStar>* rngs_ = nullptr;
-  BatchRngMode rng_mode_ = BatchRngMode::kScalarOrder;
-  graph::NodeId lo_ = 0, hi_ = 0;
   std::size_t round_ = 0;
   unsigned exchange_ = 0;
   unsigned lane_count_ = 0;
@@ -229,11 +159,9 @@ class BatchProtocol {
 class BatchSimulator {
  public:
   /// record_trace is unsupported in the batched core (throws).
-  explicit BatchSimulator(SimConfig config = {},
-                          BatchRngMode rng_mode = BatchRngMode::kScalarOrder);
+  explicit BatchSimulator(SimConfig config = {});
 
-  /// kScalarOrder only (throws std::logic_error otherwise): runs
-  /// rngs.size() lanes (1..kMaxBatchLanes) of `protocol` on `g` to
+  /// Runs rngs.size() lanes (1..kMaxBatchLanes) of `protocol` on `g` to
   /// per-lane termination (or the round cap).  Returns the finished
   /// batch as a view of this simulator's planes, valid until its next
   /// run; lane l is bit-identical to scalar BeepSimulator::run(g,
@@ -251,27 +179,7 @@ class BatchSimulator {
   RunResult run(graph::Graph&&, BatchProtocol&,
                 std::vector<support::Xoshiro256StarStar>) = delete;
 
-  /// kStatisticalLanes only (throws std::logic_error otherwise): runs
-  /// `lanes` lanes seeded from one base stream — lane l draws from `base`
-  /// advanced by l+1 jump() calls, and `base` itself becomes the shared
-  /// bulk-plane stream — so lane l's stream depends only on (seed, l).
-  /// Per-lane results are distributed like independent scalar runs but are
-  /// not bit-comparable to any scalar seed; they are deterministic per
-  /// (seed, lane count).  The view is valid until this simulator's next run.
-  [[nodiscard]] LaneOutcomes run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
-                                          support::Xoshiro256StarStar base, unsigned lanes);
-  LaneOutcomes run_outcomes(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
-                            unsigned) = delete;
-  /// run_outcomes, extracted into one RunResult per lane.
-  [[nodiscard]] std::vector<RunResult> run(const graph::Graph& g, BatchProtocol& protocol,
-                                           support::Xoshiro256StarStar base, unsigned lanes) {
-    return detail::extract_lane_results(run_outcomes(g, protocol, base, lanes));
-  }
-  RunResult run(graph::Graph&&, BatchProtocol&, support::Xoshiro256StarStar,
-                unsigned) = delete;
-
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-  [[nodiscard]] BatchRngMode rng_mode() const noexcept { return rng_mode_; }
 
  private:
   friend class BatchContext;
@@ -280,16 +188,9 @@ class BatchSimulator {
   void apply_wakeups_and_crashes();
   void deliver_beeps();
   void compact_active();
-  [[nodiscard]] LaneOutcomes run_lanes(const graph::Graph& g, BatchProtocol& protocol,
-                                       std::vector<support::Xoshiro256StarStar> rngs);
 
   const graph::Graph* graph_ = nullptr;
   SimConfig config_;
-  BatchRngMode rng_mode_ = BatchRngMode::kScalarOrder;
-  /// Shared bulk-plane stream (kStatisticalLanes only): the run's base
-  /// stream, disjoint from every jump()-partitioned lane stream for the
-  /// first 2^128 outputs.
-  support::Xoshiro256StarStar bulk_rng_{0};
   unsigned lane_count_ = 0;
 
   /// Fault schedule (presorted events + round-0 frontier), built once per
@@ -344,41 +245,16 @@ class BatchSimulator {
   unsigned exchange_ = 0;
 };
 
-// --- Inline hot paths -------------------------------------------------------
-// BatchContext::beep and the bulk-plane draws run once per (node, exchange)
-// or per exponent chunk in the kernel sweeps; defining them here lets the
-// kernel translation units inline them.  The plane arithmetic itself lives
-// in sim/exchange_core.hpp (detail::plane_bernoulli*), shared with the
-// sharded-batched front-end; these wrappers add only the mode check.
-
-inline LaneMask BatchContext::random_plane() {
-  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
-    throw std::logic_error("BatchContext::random_plane requires kStatisticalLanes");
-  }
-  return (*bulk_rng_)();
-}
-
-inline LaneMask BatchContext::bernoulli_plane_pow2(unsigned k, LaneMask lanes) {
-  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
-    throw std::logic_error("BatchContext::bernoulli_plane_pow2 requires kStatisticalLanes");
-  }
-  return detail::plane_bernoulli_pow2(*bulk_rng_, k, lanes);
-}
-
-inline LaneMask BatchContext::bernoulli_plane(double p, LaneMask lanes) {
-  if (rng_mode_ != BatchRngMode::kStatisticalLanes) {
-    throw std::logic_error("BatchContext::bernoulli_plane requires kStatisticalLanes");
-  }
-  return detail::plane_bernoulli(*bulk_rng_, p, lanes);
-}
+// --- Inline hot path --------------------------------------------------------
+// BatchContext::beep runs once per (node, exchange) in the kernel sweeps;
+// defining it here lets the kernel translation units inline it.
 
 inline void BatchContext::beep(graph::NodeId v, LaneMask lanes) {
   if (phase_ != Phase::kEmit) {
     throw std::logic_error("BatchContext::beep called outside the emit phase");
   }
-  if (v < lo_ || v >= hi_ || (lanes & ~(*live_)[v]) != 0) {
-    throw std::logic_error(
-        "BatchContext::beep outside the node's live lanes or this shard's range");
+  if (v >= live_->size() || (lanes & ~(*live_)[v]) != 0) {
+    throw std::logic_error("BatchContext::beep outside the node's live lanes");
   }
   LaneMask& plane = (*beeped_)[v];
   const LaneMask fresh = lanes & ~plane;

@@ -11,13 +11,7 @@
 
 namespace beepmis::sim {
 
-std::unique_ptr<BatchProtocol> BeepProtocol::make_batch_protocol(BatchRngMode /*mode*/) const {
-  return nullptr;
-}
-
-std::unique_ptr<BatchProtocol> BeepProtocol::make_batch_protocol() const {
-  return make_batch_protocol(BatchRngMode::kScalarOrder);
-}
+std::unique_ptr<BatchProtocol> BeepProtocol::make_batch_protocol() const { return nullptr; }
 
 ShardSupport BeepProtocol::shard_support() const { return {}; }
 

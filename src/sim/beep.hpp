@@ -97,10 +97,10 @@ struct SimConfig {
   /// throws RunCancelled once it is exceeded.  The value is an atomic so a
   /// harness can move the deadline per trial (or per watchdog decision)
   /// without rebuilding the simulator; nullptr (the default) costs one
-  /// pointer test per round.  Honoured by the scalar, batched, sharded and
-  /// sharded-batched simulators (the sharded cores check it on their
-  /// coordinator at the round boundary, where a throw parks like any shard
-  /// error and unwinds no barrier), and by the LOCAL simulator through
+  /// pointer test per round.  Honoured by the scalar, batched and sharded
+  /// simulators (the sharded core checks it on its coordinator at the
+  /// round boundary, where a throw parks like any shard error and unwinds
+  /// no barrier), and by the LOCAL simulator through
   /// LocalSimConfig::deadline_ns.  A protocol that never returns from
   /// emit/react cannot be cancelled by anything in-process; that is what
   /// the process-level kill-and-resume path (exp/journal.hpp) is for.
@@ -216,26 +216,6 @@ class BeepContext {
 
 class BatchProtocol;
 
-/// Draw-entropy policy of the batched (64-lane) simulators.  Defined here
-/// (not batch.hpp) so BeepProtocol::make_batch_protocol can take it without
-/// a circular include.
-enum class BatchRngMode {
-  /// Lane l consumes its own per-trial RNG in exactly the scalar draw
-  /// order, so every lane is bit-identical to a scalar BeepSimulator run
-  /// (the default, and the only mode the golden batched-lane pins cover).
-  kScalarOrder,
-  /// Opt-in statistical mode: lanes draw from jump()-partitioned per-lane
-  /// streams derived from one base seed (deterministic per (seed, lane),
-  /// no scalar draw-order carving), and kernels may vectorise Bernoulli
-  /// draws across lanes via BatchContext's shared bulk-plane stream — one
-  /// 64-bit random plane serves a whole dyadic exponent bucket, and lossy
-  /// delivery draws loss bits for all lanes of an edge at once.  Same
-  /// per-lane marginal distribution, different sample: results are NOT
-  /// comparable seed-for-seed with scalar runs, only distributionally
-  /// (see src/sim/README.md "Statistical lanes").
-  kStatisticalLanes,
-};
-
 /// Sharded-execution capability of a protocol (see sim/sharded.hpp and the
 /// "Sharded execution" section of src/sim/README.md).  supported == false
 /// (the default) keeps the protocol on the scalar path.  A protocol that
@@ -263,20 +243,14 @@ class BeepProtocol {
  public:
   virtual ~BeepProtocol() = default;
 
-  /// Batched kernel for this protocol under `mode`, or nullptr when no
-  /// 64-lane implementation exists for that mode (the default).  A
-  /// non-null kScalarOrder kernel is a contract: lane l of a
-  /// BatchSimulator run with it must be bit-identical to a scalar run of
-  /// *this exact* protocol — overrides in non-final classes must therefore
-  /// guard against subclasses inheriting them (see LocalFeedbackMis).  A
-  /// non-null kStatisticalLanes kernel promises only correct per-lane
-  /// marginal distributions under the bulk-plane draw APIs (see the
-  /// kernel-authoring checklist).  Callers that get nullptr use the scalar
+  /// Batched kernel for this protocol, or nullptr when no 64-lane
+  /// implementation exists (the default).  A non-null kernel is a
+  /// contract: lane l of a BatchSimulator run with it must be
+  /// bit-identical to a scalar run of *this exact* protocol — overrides in
+  /// non-final classes must therefore guard against subclasses inheriting
+  /// them (see LocalFeedbackMis).  Callers that get nullptr use the scalar
   /// path.
-  [[nodiscard]] virtual std::unique_ptr<BatchProtocol> make_batch_protocol(
-      BatchRngMode mode) const;
-  /// Convenience overload: the default bit-identical mode.
-  [[nodiscard]] std::unique_ptr<BatchProtocol> make_batch_protocol() const;
+  [[nodiscard]] virtual std::unique_ptr<BatchProtocol> make_batch_protocol() const;
 
   /// Sharded-execution declaration; default: not supported.  Like
   /// make_batch_protocol, an override in a non-final class must refuse

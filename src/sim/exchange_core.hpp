@@ -6,18 +6,17 @@
 // same exchange — clear flags through dirty lists, deliver beeps by
 // walking an explicit beeper frontier, apply presorted fault events,
 // compact the active list at round boundaries.  The plane half (bottom of
-// this header) is the 64-lane bitplane analogue driving BatchSimulator and
-// ShardedBatchSimulator: LaneMask planes instead of uint8_t flags, bulk
-// Bernoulli planes instead of per-lane draws, per-lane retirement instead
-// of one while-condition.  Holding both halves here, parameterised over
-// the node range and the adjacency view (the full CSR for the unsharded
-// cores, a Partition slice for one shard), is what keeps the four
-// front-ends from drifting — the determinism contract in src/sim/README.md
-// is implemented here.
+// this header) is the 64-lane bitplane analogue driving BatchSimulator:
+// LaneMask planes instead of uint8_t flags, per-lane retirement instead
+// of one while-condition.  Holding both halves here, the flag half
+// parameterised over the node range and the adjacency view (the full CSR
+// for the unsharded cores, a Partition slice for one shard), is what keeps
+// the three front-ends from drifting — the determinism contract in
+// src/sim/README.md is implemented here.
 //
-// Everything operates on ranges of the *global* per-node arrays: a lane
-// touches only ids in [lo, hi), which is what makes the sharded cores'
-// listener-partitioned delivery race-free without atomics.
+// The flag half operates on ranges of the *global* per-node arrays: a
+// shard lane touches only ids in [lo, hi), which is what makes the sharded
+// core's listener-partitioned delivery race-free without atomics.
 #pragma once
 
 #include <algorithm>
@@ -227,66 +226,19 @@ void extend_mis_hear(const std::vector<graph::NodeId>& mis_nodes, std::size_t fr
 }
 
 // ---------------------------------------------------------------------------
-// Plane engine: the 64-lane bitplane half of the exchange machinery, shared
-// by the batched front-end (BatchSimulator, one context covering [0, n))
-// and the sharded-batched front-end (ShardedBatchSimulator, one context per
-// Partition slice).  Everything below is the lane-plane analogue of the
-// flag helpers above: per-node LaneMask planes instead of uint8_t flags,
-// per-lane counters instead of one list size.
+// Plane engine: the 64-lane bitplane half of the exchange machinery,
+// driving the batched front-end (BatchSimulator).  Everything below is the
+// lane-plane analogue of the flag helpers above: per-node LaneMask planes
+// instead of uint8_t flags, per-lane counters instead of one list size.
 // ---------------------------------------------------------------------------
 
-/// Independent Bernoulli(2^-k) bits for the lanes in `lanes` (zero
-/// elsewhere): the AND of k uniform planes, early-exiting once no requested
-/// lane survives, so the expected cost is min(k, ~log2(popcount(lanes)) + 1)
-/// draws.  k >= 1075 returns the empty plane without drawing, matching
-/// bernoulli_pow2's underflow-to-never endpoint.
-[[nodiscard]] inline LaneMask plane_bernoulli_pow2(support::Xoshiro256StarStar& rng,
-                                                   unsigned k, LaneMask lanes) noexcept {
-  if (k >= 1075) return 0;
-  LaneMask plane = lanes;
-  for (unsigned i = 0; i < k && plane != 0; ++i) plane &= rng();
-  return plane;
-}
-
-/// Independent Bernoulli(p) bits for the lanes in `lanes`: arithmetic-
-/// decoding against the binary expansion of p — each plane supplies one
-/// uniform bit per undecided lane, and the first position where a lane's
-/// bit differs from p's bit decides it (lane bit 0 under p bit 1 => its
-/// uniform lies below p).  Exact for every double p; all 64 lanes resolve
-/// in ~log2(lanes) + 2 expected planes.  Once p's remaining bits are all
-/// zero, an undecided lane's uniform prefix equals p, so the uniform is
-/// >= p: failure.
-[[nodiscard]] inline LaneMask plane_bernoulli(support::Xoshiro256StarStar& rng, double p,
-                                              LaneMask lanes) noexcept {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return lanes;
-  LaneMask undecided = lanes;
-  LaneMask result = 0;
-  while (undecided != 0) {
-    p += p;
-    const bool bit = p >= 1.0;
-    if (bit) p -= 1.0;
-    const LaneMask r = rng();
-    if (bit) {
-      result |= undecided & ~r;
-      undecided &= r;
-    } else {
-      undecided &= ~r;
-    }
-    if (p == 0.0) break;
-  }
-  return result;
-}
-
-/// Fires this round's wake then crash events over one range of the status
-/// planes — the lane-plane analogue of apply_fault_events.  Wakes add
+/// Fires this round's wake then crash events over the status planes — the
+/// lane-plane analogue of apply_fault_events.  Wakes add
 /// running-and-not-crashed lanes to the live plane (and the union active
 /// list); crashes hit every not-yet-crashed running lane, dropping it from
-/// the live / in-MIS / dominated planes.  `active_count[l]` tracks the
-/// caller's slice of lane l's active-list size.  Returns the lanes in
-/// which some MIS member fail-stopped; the caller prunes whatever
-/// join-order bookkeeping it maintains (per-lane lists in the batched
-/// front-end, the shared union list at the sharded coordinator).
+/// the live / in-MIS / dominated planes.  `active_count[l]` tracks lane
+/// l's active-list size.  Returns the lanes in which some MIS member
+/// fail-stopped; the caller prunes its join-order bookkeeping.
 inline LaneMask apply_plane_fault_events(
     const FaultSchedule& sched, FaultCursor& cursor, std::size_t round, LaneMask running,
     std::vector<LaneMask>& live, std::vector<LaneMask>& inmis,
@@ -352,9 +304,8 @@ inline void compact_plane_active(std::vector<graph::NodeId>& active,
 
 /// Per-lane mirror of the scalar while-condition, evaluated at the top of
 /// each round: a lane leaves the loop (freezing its planes and RNG) exactly
-/// when its scalar run would.  `active_count[l]` must be lane l's *global*
-/// active-list size (the sharded coordinator sums its shards' slices first)
-/// and `wakeups_pending` whether any wake event remains unfired anywhere.
+/// when its scalar run would.  `active_count[l]` is lane l's active-list
+/// size and `wakeups_pending` whether any wake event remains unfired.
 inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round,
                                   std::size_t max_rounds, bool wakeups_pending,
                                   const std::uint32_t* active_count,
@@ -384,11 +335,7 @@ inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round
 
 /// Reliable plane delivery: one adjacency pass serves every lane via
 /// OR-accumulation — heard[w] |= beeped[v] is one 8-byte OR where the
-/// scalar core performs up to 64 separate byte stores.  `neighbors_of`
-/// scopes the pass (full adjacency in the batched core, one shard's
-/// listener slice in the sharded-batched core), which is what makes
-/// listener-partitioned delivery race-free: a lane ORs only into its own
-/// heard range.
+/// scalar core performs up to 64 separate byte stores.
 template <typename NeighborsFn>
 void deliver_planes(const std::vector<graph::NodeId>& beepers,
                     const std::vector<LaneMask>& beeped, NeighborsFn&& neighbors_of,
@@ -403,37 +350,9 @@ void deliver_planes(const std::vector<graph::NodeId>& beepers,
   }
 }
 
-/// Statistical-lanes lossy plane delivery: loss bits for *all* lanes of an
-/// edge come from one bulk Bernoulli plane instead of popcount(avail)
-/// serially dependent per-lane draws.  `mask_of(v)` supplies the beeping
-/// lanes of source v (the beeped plane for frontier delivery; the in-MIS
-/// plane masked to running lanes for keep-alive, where the union MIS in
-/// ascending order has the same per-lane marginals as join order).
-template <typename MaskFn, typename NeighborsFn>
-void deliver_planes_lossy(const std::vector<graph::NodeId>& sources, MaskFn&& mask_of,
-                          NeighborsFn&& neighbors_of, double keep,
-                          support::Xoshiro256StarStar& rng, std::vector<LaneMask>& heard,
-                          std::vector<graph::NodeId>& heard_dirty) {
-  for (const graph::NodeId v : sources) {
-    const LaneMask m = mask_of(v);
-    if (!m) continue;
-    for (const graph::NodeId w : neighbors_of(v)) {
-      const LaneMask avail = m & ~heard[w];
-      if (!avail) continue;
-      const LaneMask got = plane_bernoulli(rng, keep, avail);
-      if (got) {
-        if (!heard[w]) heard_dirty.push_back(w);
-        heard[w] |= got;
-      }
-    }
-  }
-}
-
 /// Reliable-channel keep-alive cache over planes (lane analogue of
 /// extend_mis_hear): rebuilds the (listener, lane-mask) list from the MIS
-/// union.  `mask_of(v)` supplies v's member lanes — the live in-MIS plane
-/// in the batched core, the coordinator's snapshot in the sharded-batched
-/// core (so shards read a stable mask while others react).
+/// union.  `mask_of(v)` supplies v's member lanes (the live in-MIS plane).
 template <typename MaskFn, typename NeighborsFn>
 void rebuild_mis_hear_planes(const std::vector<graph::NodeId>& mis_union, MaskFn&& mask_of,
                              NeighborsFn&& neighbors_of,
@@ -469,9 +388,8 @@ inline void apply_mis_hear_planes(const std::vector<graph::NodeId>& mis_hear,
 namespace beepmis::sim {
 
 /// A finished batched run, read in place: the final planes and per-lane
-/// counters of the front-end that produced it (BatchSimulator and
-/// ShardedBatchSimulator::run_outcomes).  Non-owning: valid until that
-/// simulator's next run.  Bit l of every plane is lane l.  A (node, lane)
+/// counters of the BatchSimulator::run_outcomes that produced it.
+/// Non-owning: valid until that simulator's next run.  Bit l of every plane is lane l.  A (node, lane)
 /// pair's final status is, in precedence order, crashed, in-MIS,
 /// dominated, else active — the planes may overlap, the accessors below
 /// resolve them.
@@ -505,7 +423,7 @@ struct LaneOutcomes {
 
 namespace beepmis::sim::detail {
 
-/// Per-lane RunResults of a finished batch (the batched front-ends' run()).
+/// Per-lane RunResults of a finished batch (BatchSimulator::run).
 /// Node-major: the beep counts and the planes are each read once
 /// sequentially (lane-major order would stride through the count array 64
 /// times).  Per-lane episode totals are the per-node counts summed, so they

@@ -34,9 +34,7 @@
 // delivery draws are inherently cross-shard (one Bernoulli per potential
 // delivery, in global beeper order with a global already-heard
 // short-circuit), so in lossy mode delivery runs serially on the
-// coordinator, preserving the contract at reduced parallelism.  Sharded
-// runs that trade bit-identity for a different sample of the same
-// distribution are ShardedBatchSimulator's job (sim/sharded_batch.hpp).
+// coordinator, preserving the contract at reduced parallelism.
 //
 // Event traces and round observers are scalar-only by design (they would
 // serialize the shards); construction with record_trace throws.

@@ -1,7 +1,6 @@
-// AVX-512 lane-vector kernels for the bit-identical (kScalarOrder) batched
-// path.
+// AVX-512 lane-vector kernels for the bit-identical batched path.
 //
-// A 64-lane kScalarOrder batch gives every lane its own xoshiro256**
+// A 64-lane batch gives every lane its own xoshiro256**
 // stream, and a node's per-lane Bernoulli draws are independent of each
 // other: lane l's next output depends only on lane l's state.  The
 // per-lane `for (b = live; b; b &= b - 1)` loops of the dyadic kernels

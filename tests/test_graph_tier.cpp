@@ -2,9 +2,8 @@
 // bit-identical on an mmap-backed BMCSR graph (and on shard-local
 // reordered adjacency copies) to the same run on the in-RAM CSR — the
 // storage tier is an execution choice, never a results choice.  Covered
-// front-ends: scalar BeepSimulator, ShardedSimulator, BatchSimulator
-// (statistical lanes) and ShardedBatchSimulator, each under a plain
-// config and a lossy+keepalive config.  All seeds fixed: a mismatch is a
+// front-ends: scalar BeepSimulator, ShardedSimulator and BatchSimulator,
+// each under a plain config and a lossy+keepalive config.  All seeds fixed: a mismatch is a
 // real bug, not flakiness.
 #include <gtest/gtest.h>
 
@@ -23,7 +22,6 @@
 #include "sim/batch.hpp"
 #include "sim/beep.hpp"
 #include "sim/sharded.hpp"
-#include "sim/sharded_batch.hpp"
 #include "support/rng.hpp"
 
 namespace beepmis {
@@ -126,43 +124,19 @@ TEST_F(GraphTier, BatchSimulatorIsTierBlind) {
   constexpr unsigned kLanes = 8;
   for (const sim::SimConfig& config : tier_configs()) {
     const mis::LocalFeedbackMis scalar;
-    const auto kernel_a = scalar.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
-    const auto kernel_b = scalar.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
+    const auto kernel_a = scalar.make_batch_protocol();
+    const auto kernel_b = scalar.make_batch_protocol();
     ASSERT_NE(kernel_a, nullptr);
-    sim::BatchSimulator sim(config, sim::BatchRngMode::kStatisticalLanes);
-    const auto on_ram = sim.run(ram_, *kernel_a, support::Xoshiro256StarStar(kSeed), kLanes);
-    const auto on_map =
-        sim.run(mapped_, *kernel_b, support::Xoshiro256StarStar(kSeed), kLanes);
+    std::vector<support::Xoshiro256StarStar> rngs;
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+      rngs.emplace_back(kSeed + lane);
+    }
+    sim::BatchSimulator sim(config);
+    const auto on_ram = sim.run(ram_, *kernel_a, rngs);
+    const auto on_map = sim.run(mapped_, *kernel_b, rngs);
     ASSERT_EQ(on_ram.size(), on_map.size());
     for (std::size_t lane = 0; lane < on_ram.size(); ++lane) {
       expect_identical(on_ram[lane], on_map[lane], "batch lane " + std::to_string(lane));
-    }
-  }
-}
-
-TEST_F(GraphTier, ShardedBatchSimulatorIsTierBlind) {
-  constexpr unsigned kLanes = 8;
-  for (const sim::SimConfig& base : tier_configs()) {
-    for (const bool shard_local : {false, true}) {
-      sim::SimConfig config = base;
-      config.shard_local_adjacency = shard_local;
-      const mis::LocalFeedbackMis scalar;
-      const auto kernel_a =
-          scalar.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
-      const auto kernel_b =
-          scalar.make_batch_protocol(sim::BatchRngMode::kStatisticalLanes);
-      ASSERT_NE(kernel_a, nullptr);
-      sim::ShardedBatchSimulator on_ram(ram_, 2, config);
-      sim::ShardedBatchSimulator on_map(mapped_, 2, config);
-      const auto ram_lanes =
-          on_ram.run(*kernel_a, support::Xoshiro256StarStar(kSeed), kLanes);
-      const auto map_lanes =
-          on_map.run(*kernel_b, support::Xoshiro256StarStar(kSeed), kLanes);
-      ASSERT_EQ(ram_lanes.size(), map_lanes.size());
-      for (std::size_t lane = 0; lane < ram_lanes.size(); ++lane) {
-        expect_identical(ram_lanes[lane], map_lanes[lane],
-                         "sharded-batch lane " + std::to_string(lane));
-      }
     }
   }
 }

@@ -152,6 +152,31 @@ TEST(Runner, SingleTrialWorks) {
   EXPECT_EQ(stats.rounds.count(), 1u);
 }
 
+TEST(Runner, LossyTailStatsUnchangedByHeuristic) {
+  // The routing heuristic moves lossy tail-dominated sweeps off the
+  // batched path; stats must equal the forced-scalar loop exactly (they
+  // always did — this pins that the heuristic changes the route, never
+  // the result).
+  const GraphFactory shared_gnp = [](support::Xoshiro256StarStar& rng) {
+    return graph::gnp(50, 0.05, rng);
+  };
+  TrialConfig config;
+  config.trials = 70;
+  config.base_seed = 0xfade;
+  config.threads = 1;
+  config.shared_graph = true;
+  config.sim.beep_loss_probability = 0.1;
+  config.sim.mis_keepalive = true;
+  config.sim.run_until_round = 16;
+  config.sim.max_rounds = 400;
+  TrialConfig scalar = config;
+  scalar.allow_batched = false;
+
+  const TrialStats a = run_beep_trials(shared_gnp, local_feedback(), config);
+  const TrialStats b = run_beep_trials(shared_gnp, local_feedback(), scalar);
+  expect_identical_stats(a, b);
+}
+
 // --- plan_execution: the routing table ------------------------------------
 // The source of truth for which engine a beeping sweep runs on
 // (src/sim/README.md, "Routing").  Each row is a config, the node count of
@@ -173,8 +198,6 @@ TrialConfig sweep_with(Tweak tweak) {
   return config;
 }
 
-void statistical(TrialConfig& c) { c.rng_mode = sim::BatchRngMode::kStatisticalLanes; }
-
 void lossy_tail(TrialConfig& c) {
   c.sim.beep_loss_probability = 0.1;
   c.sim.mis_keepalive = true;
@@ -183,16 +206,17 @@ void lossy_tail(TrialConfig& c) {
 
 TEST(PlanExecution, RoutingTable) {
   using enum ExecutionPath;
-  constexpr auto kScalarOrder = sim::BatchRngMode::kScalarOrder;
-  constexpr auto kStatistical = sim::BatchRngMode::kStatisticalLanes;
   constexpr std::size_t kBig = std::size_t{1} << 18;  // the default auto_shard_min_nodes
   constexpr std::size_t kSmall = 1000;
   const ProtocolProbe full{true, true};
   const ProtocolProbe no_shard_support{false, true};
   const ProtocolProbe no_batch_kernel{true, false};
+  const ProtocolProbe neither{false, false};
   const LiveScenario adaptive{sim::ScenarioKind::kAdaptive, "target-mis"};
   const LiveScenario churn{sim::ScenarioKind::kObliviousStream, "churn"};
   const LiveScenario static_live{sim::ScenarioKind::kStaticSchedule, "uniform-crash"};
+  const std::string ignored_shards =
+      "shards=3 requested but the protocol has no sharded support: runs unsharded";
 
   struct Row {
     const char* name;
@@ -203,109 +227,84 @@ TEST(PlanExecution, RoutingTable) {
     ExecutionPlan expected;
   };
   const Row rows[] = {
-      {"default shared sweep", shared_sweep(), kSmall, full, nullptr,
-       {kBatched, 1, 4, kScalarOrder, ""}},
-      {"lossy tail, scalar order", sweep_with(lossy_tail), kSmall, full, nullptr,
-       {kScalar, 1, 4, kScalarOrder, ""}},
-      {"lossy tail, statistical",
-       sweep_with([](TrialConfig& c) {
-         lossy_tail(c);
-         statistical(c);
-       }),
-       kSmall, full, nullptr, {kBatched, 1, 4, kStatistical, ""}},
+      {"default shared sweep", shared_sweep(), kSmall, full, nullptr, {kBatched, 1, 4, ""}},
+      {"lossy tail", sweep_with(lossy_tail), kSmall, full, nullptr, {kScalar, 1, 4, ""}},
       {"per-trial graphs", sweep_with([](TrialConfig& c) { c.shared_graph = false; }), 0, full,
-       nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+       nullptr, {kScalar, 1, 4, ""}},
       {"record_trace", sweep_with([](TrialConfig& c) { c.sim.record_trace = true; }), kSmall,
-       full, nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+       full, nullptr, {kScalar, 1, 4, ""}},
       {"batching refused", sweep_with([](TrialConfig& c) { c.allow_batched = false; }), kSmall,
-       full, nullptr, {kScalar, 1, 4, kScalarOrder, ""}},
+       full, nullptr, {kScalar, 1, 4, ""}},
       {"no trials", sweep_with([](TrialConfig& c) { c.trials = 0; }), kSmall, full, nullptr,
-       {kScalar, 1, 4, kScalarOrder, ""}},
+       {kScalar, 1, 4, ""}},
+      {"many trials, auto, above the threshold", shared_sweep(), kBig, full, nullptr,
+       {kBatched, 1, 4, ""}},
       {"one trial, auto, above the threshold",
        sweep_with([](TrialConfig& c) { c.trials = 1; }), kBig, full, nullptr,
-       {kSharded, 4, 1, kScalarOrder, ""}},
+       {kSharded, 4, 1, ""}},
       {"one trial, auto, K clamped to 256",
        sweep_with([](TrialConfig& c) {
          c.trials = 1;
          c.threads = 300;
        }),
-       kBig, full, nullptr, {kSharded, 256, 1, kScalarOrder, ""}},
+       kBig, full, nullptr, {kSharded, 256, 1, ""}},
       {"one trial, auto, below the threshold",
        sweep_with([](TrialConfig& c) { c.trials = 1; }), kBig - 1, full, nullptr,
-       {kScalar, 1, 4, kScalarOrder, ""}},
+       {kScalar, 1, 4, ""}},
       {"one trial, per-trial graph, above the threshold",
        sweep_with([](TrialConfig& c) {
          c.trials = 1;
          c.shared_graph = false;
        }),
-       kBig, full, nullptr, {kSharded, 4, 1, kScalarOrder, ""}},
+       kBig, full, nullptr, {kSharded, 4, 1, ""}},
       {"one trial on one thread", sweep_with([](TrialConfig& c) {
          c.trials = 1;
          c.threads = 1;
        }),
-       kBig, full, nullptr, {kBatched, 1, 1, kScalarOrder, ""}},
+       kBig, full, nullptr, {kBatched, 1, 1, ""}},
       {"explicit shards", sweep_with([](TrialConfig& c) { c.shards = 3; }), kSmall, full,
-       nullptr, {kSharded, 3, 1, kScalarOrder, ""}},
+       nullptr, {kSharded, 3, 1, ""}},
+      {"explicit shards, one batch",
+       sweep_with([](TrialConfig& c) {
+         c.shards = 3;
+         c.trials = 64;
+       }),
+       kSmall, full, nullptr, {kSharded, 3, 1, ""}},
       {"explicit shards, sharding refused",
        sweep_with([](TrialConfig& c) {
          c.shards = 3;
          c.allow_sharded = false;
        }),
-       kSmall, full, nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
-      {"statistical, auto, above the threshold", sweep_with(statistical), kBig, full, nullptr,
-       {kShardedBatched, 4, 1, kStatistical, ""}},
-      {"statistical, auto, below the threshold", sweep_with(statistical), kBig - 1, full,
-       nullptr, {kBatched, 1, 4, kStatistical, ""}},
-      {"statistical, shards = 1",
-       sweep_with([](TrialConfig& c) {
-         statistical(c);
-         c.shards = 1;
-       }),
-       kBig, full, nullptr, {kBatched, 1, 4, kStatistical, ""}},
-      {"statistical, explicit shards",
-       sweep_with([](TrialConfig& c) {
-         statistical(c);
-         c.shards = 3;
-       }),
-       kSmall, full, nullptr, {kShardedBatched, 3, 1, kStatistical, ""}},
-      {"statistical, explicit shards, one batch",
-       sweep_with([](TrialConfig& c) {
-         statistical(c);
-         c.shards = 3;
-         c.trials = 64;
-       }),
-       kSmall, full, nullptr, {kSharded, 3, 1, kScalarOrder, ""}},
+       kSmall, full, nullptr, {kBatched, 1, 4, ""}},
+      {"shards = 1", sweep_with([](TrialConfig& c) { c.shards = 1; }), kBig, full, nullptr,
+       {kBatched, 1, 4, ""}},
       {"no shard support, explicit shards", sweep_with([](TrialConfig& c) { c.shards = 3; }),
-       kSmall, no_shard_support, nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
-      {"no shard support, statistical", sweep_with(statistical), kBig, no_shard_support,
-       nullptr, {kBatched, 1, 4, kStatistical, ""}},
+       kSmall, no_shard_support, nullptr, {kBatched, 1, 4, ignored_shards}},
+      {"no shard support, no batch kernel, explicit shards",
+       sweep_with([](TrialConfig& c) { c.shards = 3; }), kSmall, neither, nullptr,
+       {kScalar, 1, 4, ignored_shards}},
+      {"no shard support, auto", shared_sweep(), kBig, no_shard_support, nullptr,
+       {kBatched, 1, 4, ""}},
       {"no batch kernel", shared_sweep(), kSmall, no_batch_kernel, nullptr,
-       {kScalar, 1, 4, kScalarOrder, ""}},
-      {"no batch kernel, statistical", sweep_with(statistical), kBig, no_batch_kernel, nullptr,
-       {kScalar, 1, 4, kScalarOrder, ""}},
-      {"adaptive scenario", sweep_with(statistical), kSmall, full, &adaptive,
-       {kScalar, 1, 4, kScalarOrder,
+       {kScalar, 1, 4, ""}},
+      {"adaptive scenario", shared_sweep(), kSmall, full, &adaptive,
+       {kScalar, 1, 4,
         "scenario 'target-mis' is adaptive (observes live run state): batched/sharded fast "
         "paths refused, scalar simulator only"}},
-      {"churn scenario", sweep_with(statistical), kSmall, full, &churn,
-       {kScalar, 1, 4, kScalarOrder,
+      {"churn scenario", shared_sweep(), kSmall, full, &churn,
+       {kScalar, 1, 4,
         "scenario 'churn' emits dynamic events (revives/churn): scalar simulator only"}},
       {"static scenario left live", sweep_with([](TrialConfig& c) { c.shared_graph = false; }),
        0, full, &static_live,
-       {kScalar, 1, 4, kScalarOrder,
+       {kScalar, 1, 4,
         "scenario 'uniform-crash' runs live on the scalar simulator (materialising needs "
         "shared_graph and an empty crash_round)"}},
-      {"recovery tracking",
-       sweep_with([](TrialConfig& c) {
-         statistical(c);
-         c.sim.track_recovery = true;
-       }),
+      {"recovery tracking", sweep_with([](TrialConfig& c) { c.sim.track_recovery = true; }),
        kSmall, full, nullptr,
-       {kScalar, 1, 4, kScalarOrder,
-        "recovery tracking is scalar-only: batched/sharded fast paths refused"}},
+       {kScalar, 1, 4, "recovery tracking is scalar-only: batched/sharded fast paths refused"}},
       {"materialised static scenario",
        sweep_with([](TrialConfig& c) { c.sim.crash_round.assign(kSmall, 5); }), kSmall, full,
-       nullptr, {kBatched, 1, 4, kScalarOrder, ""}},
+       nullptr, {kBatched, 1, 4, ""}},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -313,7 +312,6 @@ TEST(PlanExecution, RoutingTable) {
     EXPECT_EQ(plan.path, row.expected.path);
     EXPECT_EQ(plan.shards, row.expected.shards);
     EXPECT_EQ(plan.workers, row.expected.workers);
-    EXPECT_EQ(plan.rng_mode, row.expected.rng_mode);
     EXPECT_EQ(plan.reason, row.expected.reason);
   }
 }

@@ -273,8 +273,6 @@ TEST(ScenarioFastPathPin, BatchSimulatorRejectsScenarioConfig) {
   sim::SimConfig config;
   config.scenario = std::make_shared<sim::TargetMisMembers>(sim::TargetMisMembersConfig{});
   EXPECT_THROW((void)sim::BatchSimulator(config), std::logic_error);
-  EXPECT_THROW(sim::BatchSimulator(config, sim::BatchRngMode::kStatisticalLanes),
-               std::logic_error);
 }
 
 TEST(ScenarioFastPathPin, ShardedSimulatorRejectsScenarioConfig) {

@@ -264,11 +264,11 @@ TEST(ShardedSim, RejectsUnsupportedProtocol) {
 }
 
 TEST(ShardedSim, SelfHealingMatchesScalarIncludingReactivations) {
-  // Satellite of the sharded-batched PR: self-healing is shard-capable.
-  // The healing pass is draw-free and per-node (each shard scans only its
-  // [node_begin, node_end) slice), and reactivation counts accumulate in
-  // the per-shard mutation sinks, so a kScalarOrder sharded run must be
-  // bit-identical to the scalar run *including* RunResult::reactivations.
+  // Self-healing is shard-capable.  The healing pass is draw-free and
+  // per-node (each shard scans only its [node_begin, node_end) slice), and
+  // reactivation counts accumulate in the per-shard mutation sinks, so a
+  // sharded run must be bit-identical to the scalar run *including*
+  // RunResult::reactivations.
   const graph::Graph g = gnp_graph(60, 6.0, 912);
   mis::SelfHealingLocalFeedbackMis probe;
   EXPECT_TRUE(probe.shard_support().supported);

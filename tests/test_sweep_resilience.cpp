@@ -24,6 +24,7 @@
 #include "exp/runner.hpp"
 #include "graph/generators.hpp"
 #include "mis/local_feedback.hpp"
+#include "mis/luby.hpp"
 #include "mis/verifier.hpp"
 #include "sim/beep.hpp"
 #include "sim/local.hpp"
@@ -190,14 +191,13 @@ BeepProtocolFactory local_feedback() {
   return [] { return std::make_unique<mis::LocalFeedbackMis>(); };
 }
 
-TrialConfig sweep_config(unsigned threads, sim::BatchRngMode mode, bool allow_batched) {
+TrialConfig sweep_config(unsigned threads, bool allow_batched) {
   TrialConfig config;
   config.trials = 640;  // 10 chunks: enough that in-flight claims never finish them all
   config.base_seed = 0xc0ffee;
   config.threads = threads;
   config.shared_graph = true;  // required by the batched paths
   config.allow_batched = allow_batched;
-  config.rng_mode = mode;
   config.checkpoint_interval = 64;
   return config;
 }
@@ -205,20 +205,17 @@ TrialConfig sweep_config(unsigned threads, sim::BatchRngMode mode, bool allow_ba
 TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
   struct Variant {
     unsigned threads;
-    sim::BatchRngMode mode;
     bool allow_batched;
   };
   const Variant variants[] = {
-      {1, sim::BatchRngMode::kScalarOrder, false},  // scalar path
-      {4, sim::BatchRngMode::kScalarOrder, false},
-      {4, sim::BatchRngMode::kScalarOrder, true},  // batched, bit-identical mode
-      {1, sim::BatchRngMode::kStatisticalLanes, true},
-      {4, sim::BatchRngMode::kStatisticalLanes, true},
+      {1, false},  // scalar path
+      {4, false},
+      {4, true},  // batched path
   };
   const std::string path = temp_path("journal_resume.txt");
   for (const Variant& v : variants) {
     const TrialStats one_shot =
-        run_beep_trials(sweep_gnp(), local_feedback(), sweep_config(v.threads, v.mode, v.allow_batched));
+        run_beep_trials(sweep_gnp(), local_feedback(), sweep_config(v.threads, v.allow_batched));
     ASSERT_EQ(one_shot.trials, 640u);
     EXPECT_FALSE(one_shot.truncated);
 
@@ -227,7 +224,7 @@ TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
     // must match the uninterrupted run bit for bit.
     for (std::size_t interrupt_after : {1u, 2u, 3u}) {
       std::remove(path.c_str());
-      TrialConfig interrupted = sweep_config(v.threads, v.mode, v.allow_batched);
+      TrialConfig interrupted = sweep_config(v.threads, v.allow_batched);
       interrupted.journal_path = path;
       interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
       interrupted.on_checkpoint = [&interrupted, interrupt_after](std::size_t done) {
@@ -240,7 +237,7 @@ TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
       EXPECT_LT(partial.trials, 640u);
       EXPECT_EQ(partial.trials % 64u, 0u) << "truncation must land on a chunk boundary";
 
-      TrialConfig resumed_cfg = sweep_config(v.threads, v.mode, v.allow_batched);
+      TrialConfig resumed_cfg = sweep_config(v.threads, v.allow_batched);
       resumed_cfg.journal_path = path;
       resumed_cfg.resume = true;
       const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
@@ -255,33 +252,24 @@ TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
 
 TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
   // A journal is keyed to the numbers its sweep draws, not to how they are
-  // computed: chunk geometry and the plan's effective draw order define the
-  // aggregate.  A 1-thread scalar journal finishes under a 4-thread batched
-  // run, and a recovery-tracking sweep — scalar order whatever its rng_mode
-  // — resumes incrementally across rng_mode.  A batched statistical journal
-  // holds a different sample, so a scalar-order resume rejects it whole and
-  // recomputes.  Either way the result is the resumed config's one-shot
-  // bits.
+  // computed: chunk geometry defines the aggregate, and every route draws
+  // in scalar order.  A 1-thread scalar journal finishes under a 4-thread
+  // batched run, and a batched journal under a sharded one, incrementally
+  // and on the resumed config's one-shot bits.
   struct Case {
     const char* name;
     TrialConfig written;
     TrialConfig resumed;
-    bool incremental;
   };
-  const auto tracking = [](TrialConfig config) {
-    config.sim.track_recovery = true;
+  const auto sharded = [](TrialConfig config) {
+    config.shards = 2;
     return config;
   };
   const Case cases[] = {
-      {"scalar, 1 thread -> batched, 4 threads",
-       sweep_config(1, sim::BatchRngMode::kScalarOrder, false),
-       sweep_config(4, sim::BatchRngMode::kScalarOrder, true), true},
-      {"recovery tracking: scalar order -> statistical lanes",
-       tracking(sweep_config(2, sim::BatchRngMode::kScalarOrder, true)),
-       tracking(sweep_config(2, sim::BatchRngMode::kStatisticalLanes, true)), true},
-      {"batched: statistical lanes -> scalar order",
-       sweep_config(2, sim::BatchRngMode::kStatisticalLanes, true),
-       sweep_config(2, sim::BatchRngMode::kScalarOrder, true), false},
+      {"scalar, 1 thread -> batched, 4 threads", sweep_config(1, false),
+       sweep_config(4, true)},
+      {"batched, 2 threads -> sharded, K = 2", sweep_config(2, true),
+       sharded(sweep_config(2, true))},
   };
   const std::string path = temp_path("journal_cross.txt");
   for (const Case& c : cases) {
@@ -302,21 +290,63 @@ TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
     resumed_cfg.journal_path = path;
     resumed_cfg.resume = true;
     const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
-    EXPECT_EQ(resumed.resumed_trials, c.incremental ? partial.trials : 0u);
-    EXPECT_EQ(resumed.resume_discarded_reason.empty(), c.incremental)
-        << resumed.resume_discarded_reason;
+    EXPECT_EQ(resumed.resumed_trials, partial.trials);
+    EXPECT_TRUE(resumed.resume_discarded_reason.empty()) << resumed.resume_discarded_reason;
     expect_stats_bits_equal(resumed, one_shot);
   }
   std::remove(path.c_str());
+}
+
+TEST(Resilience, RequestKeyIsStable) {
+  // The journal's request key is a compatibility promise: journals and
+  // beepmisd state written by earlier builds must keep resuming
+  // incrementally.  These hex values are what those builds wrote for one
+  // fixed beeping and one fixed LOCAL config; a change here strands every
+  // journal on disk.
+  const GraphFactory graphs = [](support::Xoshiro256StarStar& rng) {
+    return graph::gnp(40, 0.1, rng);
+  };
+  const auto request_line = [](const std::string& path) {
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("request ", 0) == 0) return line;
+    }
+    return std::string("no request line");
+  };
+  TrialConfig config;
+  config.trials = 64;
+  config.base_seed = 0x1234;
+  config.threads = 1;
+  config.shared_graph = true;
+  config.request_fingerprint = 0xabcdef;
+
+  const std::string beep_path = temp_path("journal_key_beep.txt");
+  std::remove(beep_path.c_str());
+  TrialConfig beep = config;
+  beep.sim.beep_loss_probability = 0.05;
+  beep.sim.mis_keepalive = true;
+  beep.journal_path = beep_path;
+  (void)run_beep_trials(graphs, local_feedback(), beep);
+  EXPECT_EQ(request_line(beep_path), "request f9ce09917b380083");
+  std::remove(beep_path.c_str());
+
+  const std::string local_path = temp_path("journal_key_local.txt");
+  std::remove(local_path.c_str());
+  TrialConfig local = config;
+  local.journal_path = local_path;
+  (void)run_local_trials(graphs, [] { return std::make_unique<mis::LubyMis>(); }, local);
+  EXPECT_EQ(request_line(local_path), "request 8d903bbacac46e39");
+  std::remove(local_path.c_str());
 }
 
 TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
   const std::string path = temp_path("journal_resume_corrupt.txt");
   std::remove(path.c_str());
   const TrialStats one_shot = run_beep_trials(
-      sweep_gnp(), local_feedback(), sweep_config(2, sim::BatchRngMode::kScalarOrder, false));
+      sweep_gnp(), local_feedback(), sweep_config(2, false));
 
-  TrialConfig interrupted = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+  TrialConfig interrupted = sweep_config(2, false);
   interrupted.journal_path = path;
   interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
   interrupted.on_checkpoint = [&interrupted](std::size_t) {
@@ -332,7 +362,7 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
     f.seekp(40);
     f.put('~');
   }
-  TrialConfig resumed_cfg = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+  TrialConfig resumed_cfg = sweep_config(2, false);
   resumed_cfg.journal_path = path;
   resumed_cfg.resume = true;
   const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
@@ -345,7 +375,7 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
 TEST(Resilience, ExpiredBudgetTruncatesImmediatelyAndResumeFinishes) {
   const std::string path = temp_path("journal_budget.txt");
   std::remove(path.c_str());
-  TrialConfig config = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+  TrialConfig config = sweep_config(2, false);
   config.journal_path = path;
   config.budget_seconds = 1e-9;  // expires before the first claim
   const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), config);
@@ -355,8 +385,8 @@ TEST(Resilience, ExpiredBudgetTruncatesImmediatelyAndResumeFinishes) {
   EXPECT_EQ(partial.rounds.count(), 0u);
 
   const TrialStats one_shot = run_beep_trials(
-      sweep_gnp(), local_feedback(), sweep_config(2, sim::BatchRngMode::kScalarOrder, false));
-  TrialConfig resumed_cfg = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+      sweep_gnp(), local_feedback(), sweep_config(2, false));
+  TrialConfig resumed_cfg = sweep_config(2, false);
   resumed_cfg.journal_path = path;
   resumed_cfg.resume = true;  // nothing was checkpointed: fresh start is fine
   const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
@@ -366,10 +396,10 @@ TEST(Resilience, ExpiredBudgetTruncatesImmediatelyAndResumeFinishes) {
 }
 
 TEST(Resilience, WiderIntervalsWhenTruncated) {
-  TrialConfig full_cfg = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+  TrialConfig full_cfg = sweep_config(2, false);
   const TrialStats full = run_beep_trials(sweep_gnp(), local_feedback(), full_cfg);
 
-  TrialConfig cut = sweep_config(2, sim::BatchRngMode::kScalarOrder, false);
+  TrialConfig cut = sweep_config(2, false);
   cut.stop_request = std::make_shared<std::atomic<bool>>(false);
   cut.on_checkpoint = [&cut](std::size_t done) {
     if (done >= 1) cut.stop_request->store(true);

@@ -103,7 +103,7 @@ class SweepServiceTest : public ::testing::Test {
   }
 
   /// A fast, deterministic sweep request; vary `base_seed` for distinct
-  /// fingerprints.  threads=1 keeps even non-scalar-order paths exact.
+  /// fingerprints.
   [[nodiscard]] static cli::SweepSpec small_spec(std::uint64_t base_seed,
                                                 std::size_t trials = 64) {
     cli::SweepSpec spec;
