@@ -7,7 +7,6 @@
 // they live here once.
 #pragma once
 
-#include <bit>
 #include <vector>
 
 #include "sim/batch.hpp"
