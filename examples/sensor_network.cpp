@@ -13,7 +13,9 @@
 // spec.shards, the wall-clock budget sets spec.budget_seconds (falling
 // back to the deterministic greedy-id election on expiry), and churn is
 // the registered self-healing algorithm under a uniform-crash scenario.
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,12 +78,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto sensors = static_cast<graph::NodeId>(options.get_int("sensors"));
-  const double radius = options.get_double("radius");
-  const std::uint64_t seed = options.get_u64("seed");
-  const auto shards = static_cast<unsigned>(options.get_int("shards"));
+  graph::NodeId sensors = 0;
+  double radius = 0.0;
+  std::uint64_t seed = 0;
+  unsigned shards = 0;
   double budget_seconds = 0.0;
   try {
+    sensors = static_cast<graph::NodeId>(cli::parse_count_flag(
+        "--sensors", options.get("sensors"), std::numeric_limits<graph::NodeId>::max()));
+    radius = cli::parse_real_flag("--radius", options.get("radius"));
+    seed = cli::parse_count_flag("--seed", options.get("seed"));
+    shards = static_cast<unsigned>(cli::parse_count_flag(
+        "--shards", options.get("shards"), std::numeric_limits<unsigned>::max()));
     budget_seconds = cli::parse_real_flag("--budget", options.get("budget"));
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << '\n' << options.usage("sensor_network");

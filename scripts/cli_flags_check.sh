@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # CLI contract checks through the real beepmis_cli binary.
 #
-#   scripts/cli_flags_check.sh <path-to-beepmis_cli> [workdir]
+#   scripts/cli_flags_check.sh <path-to-beepmis_cli> [workdir] [path-to-sensor_network]
 #
 # 1. Every count and seed flag rejects a non-numeric, a negative and an
 #    out-of-range value with exit 1 and a message naming the flag — no
 #    abort, no wrap-around to a huge graph or seed.  Every real-valued
 #    flag does the same for non-numeric, negative, partial and non-finite
-#    values.
+#    values.  The sensor_network example (default: next to beepmis_cli)
+#    does the same for its --seed, --sensors, --radius and --shards.
 # 2. The largest seed, 2^64 - 1, survives --print-spec and a --spec
 #    round trip byte for byte.
 # 3. A plain `--trials=130` run and a `--spec=` run of its own
@@ -17,21 +18,26 @@
 #    unsharded and says so on a `fallback` line naming the shard count.
 set -u
 
-CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir]}
+CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir] [sensor_network]}
 WORKDIR=${2:-$(mktemp -d)}
+SENSOR=${3:-$(dirname "$CLI")/sensor_network}
 mkdir -p "$WORKDIR"
 
 fail() { echo "cli_flags_check: FAIL: $*" >&2; exit 1; }
 
-expect_rejected() {  # flag value
+expect_rejected_by() {  # binary flag value [extra args...]
   # `timeout` guards the old failure mode: a wrapped count that builds a
   # 4-billion-node graph instead of exiting.
-  timeout 20 "$CLI" --graph=ring "--$1=$2" > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
+  bin=$1 flag=$2 value=$3
+  shift 3
+  timeout 20 "$bin" "$@" "--$flag=$value" > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
   status=$?
-  [ "$status" -eq 1 ] || fail "--$1=$2 exited $status, expected 1"
-  grep -qF -- "--$1:" "$WORKDIR/err.txt" \
-    || fail "--$1=$2: message does not name the flag: $(cat "$WORKDIR/err.txt")"
+  [ "$status" -eq 1 ] || fail "$(basename "$bin") --$flag=$value exited $status, expected 1"
+  grep -qF -- "--$flag:" "$WORKDIR/err.txt" \
+    || fail "$(basename "$bin") --$flag=$value: message does not name the flag:" \
+            "$(cat "$WORKDIR/err.txt")"
 }
+expect_rejected() { expect_rejected_by "$CLI" "$1" "$2" --graph=ring; }
 
 for flag in n rows cols k shards max-rounds run-until scenario-lo scenario-hi \
             scenario-budget trials threads seed graph-seed scenario-seed; do
@@ -43,6 +49,15 @@ for flag in p loss factor initial-p scenario-rate budget trial-timeout; do
   for value in abc -1 0.5x nan inf; do
     expect_rejected "$flag" "$value"
   done
+done
+
+for flag in seed sensors shards; do
+  for value in abc -5 99999999999999999999; do
+    expect_rejected_by "$SENSOR" "$flag" "$value"
+  done
+done
+for value in abc -1 0.5x nan; do
+  expect_rejected_by "$SENSOR" radius "$value"
 done
 
 max_seed=18446744073709551615

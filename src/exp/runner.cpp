@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -116,7 +117,7 @@ void fill_record(TrialRecord& rec, const graph::Graph& g, const sim::RunResult& 
 
 /// fill_record for every lane of a finished batch, read straight from the
 /// simulator's final planes: one verify_mis_lanes pass plus one pass over
-/// the node-major beep counts, with no per-lane RunResult in between.
+/// the bit-sliced beep counts, with no per-lane RunResult in between.
 /// Field-identical to fill_record on the extracted lanes: batched runs
 /// carry no message bits or recovery samples, and the integer beep total
 /// over n is exactly RunResult::mean_beeps_per_node (both sums stay far
@@ -126,9 +127,10 @@ void fill_lane_records(std::span<TrialRecord> recs, const graph::Graph& g,
   const std::vector<mis::VerificationReport> reports = mis::verify_mis_lanes(g, o);
   std::array<std::uint64_t, sim::kMaxBatchLanes> total{};
   std::array<std::uint32_t, sim::kMaxBatchLanes> max_beeps{};
-  for (std::size_t v = 0; v < o.n; ++v) {
-    const std::uint32_t* counts = &o.beep_counts[v * o.lanes];
-    for (unsigned l = 0; l < o.lanes; ++l) {
+  std::array<std::uint32_t, sim::kMaxBatchLanes> counts;
+  for (graph::NodeId v = 0; v < o.n; ++v) {
+    for (sim::LaneMask b = o.beeps_of(v, counts); b != 0; b &= b - 1) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
       total[l] += counts[l];
       max_beeps[l] = std::max(max_beeps[l], counts[l]);
     }

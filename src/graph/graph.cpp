@@ -76,35 +76,57 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
 }
 
 Graph GraphBuilder::build() const {
-  std::vector<Edge> sorted = edges_;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  // Compute offsets in 64 bits, then narrow to the 32-bit representation
-  // unless the adjacency array is too large for it.
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(node_count_) + 1, 0);
-  for (const Edge& e : sorted) {
+  // Two stable counting-sort passes over the directed entries (each edge in
+  // both orientations), O(n + m) in all: the first groups the near
+  // endpoints by far endpoint, the second walks the far endpoints in
+  // ascending order and appends each to its near endpoint's list, so every
+  // list comes out sorted and any duplicate entries are adjacent.  The
+  // entries are symmetric, so one degree count sizes both passes.  Offsets
+  // are computed in 64 bits and narrowed below unless the adjacency array
+  // is too large for 32.
+  const std::size_t n = node_count_;
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (const Edge& e : edges_) {
     ++offsets[e.u + 1];
     ++offsets[e.v + 1];
   }
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
+  std::vector<NodeId> by_far(offsets[n]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges_) {
+    by_far[cursor[e.v]++] = e.u;
+    by_far[cursor[e.u]++] = e.v;
+  }
   Graph g;
   g.node_count_ = node_count_;
-  g.adjacency_.resize(sorted.size() * 2);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const Edge& e : sorted) {
-    g.adjacency_[cursor[e.u]++] = e.v;
-    g.adjacency_[cursor[e.v]++] = e.u;
+  std::vector<NodeId>& adjacency = g.adjacency_;
+  adjacency.resize(offsets[n]);
+  cursor.assign(offsets.begin(), offsets.end() - 1);
+  for (NodeId w = 0; w < node_count_; ++w) {
+    for (std::size_t i = offsets[w]; i < offsets[w + 1]; ++i) {
+      adjacency[cursor[by_far[i]]++] = w;
+    }
   }
-  // Adjacency lists are already sorted because edges were processed in
-  // canonical sorted order for the lower endpoint, but the higher endpoint's
-  // list may interleave; sort each list to guarantee the invariant.
-  for (NodeId v = 0; v < node_count_; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              g.adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  by_far = {};
+
+  // Drop repeated entries in place, rewriting the offsets as we go.
+  std::size_t kept = 0;
+  for (std::size_t v = 0, read = 0; v < n; ++v) {
+    const std::size_t end = offsets[v + 1];
+    offsets[v] = kept;
+    for (; read < end; ++read) {
+      if (kept == offsets[v] || adjacency[kept - 1] != adjacency[read]) {
+        adjacency[kept++] = adjacency[read];
+      }
+    }
   }
-  if (g.adjacency_.size() <= std::numeric_limits<std::uint32_t>::max()) {
+  offsets[n] = kept;
+  if (kept != adjacency.size()) {
+    adjacency.resize(kept);
+    adjacency.shrink_to_fit();
+  }
+  if (adjacency.size() <= std::numeric_limits<std::uint32_t>::max()) {
     g.offsets_.assign(offsets.begin(), offsets.end());
   } else {
     g.wide_offsets_ = std::move(offsets);

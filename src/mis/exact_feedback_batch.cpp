@@ -1,7 +1,5 @@
 #include "mis/exact_feedback_batch.hpp"
 
-#include <bit>
-
 #include "mis/batch_skeleton.hpp"
 
 namespace beepmis::mis {
@@ -37,21 +35,15 @@ void BatchExactLocalFeedbackMis::emit(sim::BatchContext& ctx) {
 void BatchExactLocalFeedbackMis::react(sim::BatchContext& ctx) {
   if (ctx.exchange() == 0) {
     // Definition 1 feedback in exponent form: heard -> n + 1 (halve p),
-    // silence -> max(n - 1, 1) (double p, capped at 1/2).
+    // silence -> max(n - 1, 1) (double p, capped at 1/2), on the lane
+    // block.
     for (const graph::NodeId v : ctx.active_nodes()) {
       const LaneMask live = ctx.live_mask(v);
       if (!live) continue;
       const LaneMask heard = ctx.heard_mask(v);
       winner_[v] = ctx.beeped_mask(v) & ~heard;
-      std::uint32_t* ev = &exponent_[static_cast<std::size_t>(v) * lanes_];
-      for (LaneMask b = live; b != 0; b &= b - 1) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-        // Branchless like the dyadic local-feedback kernel: heard is a coin
-        // flip per lane, so arithmetic on the bit beats a mispredicting
-        // branch.
-        const std::uint32_t h = static_cast<std::uint32_t>((heard >> l) & 1u);
-        ev[l] += h + h - 1u + static_cast<std::uint32_t>(ev[l] == 1u && h == 0u);
-      }
+      support::LaneBlock::feedback_exact(&exponent_[static_cast<std::size_t>(v) * lanes_],
+                                         live, heard);
     }
   } else {
     batch_skeleton::apply_round_outcome(ctx, winner_);

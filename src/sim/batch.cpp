@@ -26,12 +26,12 @@ void BatchContext::join_mis(graph::NodeId v, LaneMask lanes) {
   }
   (*live_)[v] &= ~lanes;
   (*inmis_)[v] |= lanes;
-  for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-    --active_count_[l];
+  if (mis_lists_ != nullptr) {
     // Per-lane join order, like the scalar core (lossy keep-alive draws
     // iterate it).
-    (*mis_lists_)[l].push_back(v);
+    for (LaneMask b = lanes; b != 0; b &= b - 1) {
+      (*mis_lists_)[static_cast<unsigned>(std::countr_zero(b))].push_back(v);
+    }
   }
   if (!(*in_mis_union_)[v]) {
     (*in_mis_union_)[v] = 1;
@@ -49,9 +49,6 @@ void BatchContext::deactivate(graph::NodeId v, LaneMask lanes) {
   }
   (*live_)[v] &= ~lanes;
   (*dominated_)[v] |= lanes;
-  for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    --active_count_[std::countr_zero(b)];
-  }
 }
 
 void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
@@ -69,11 +66,16 @@ void BatchContext::reactivate(graph::NodeId v, LaneMask lanes) {
   (*dominated_)[v] &= ~lanes;
   (*live_)[v] |= lanes;
   for (LaneMask b = lanes; b != 0; b &= b - 1) {
-    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-    ++active_count_[l];
-    ++reactivation_counts_[l];
+    ++reactivation_counts_[std::countr_zero(b)];
   }
   reactivated_->push_back(v);
+}
+
+void BatchContext::add_beep_plane(graph::NodeId v, LaneMask carry) {
+  const std::size_t n = live_->size();
+  if (beep_planes_->size() == kMaxBeepPlanes * n) return;  // uint32 wrap
+  beep_planes_->resize(beep_planes_->size() + n, 0);
+  (*beep_planes_)[beep_planes_->size() - n + v] = carry;
 }
 
 BatchSimulator::BatchSimulator(SimConfig config) : config_(std::move(config)) {
@@ -117,11 +119,11 @@ void BatchSimulator::bind_graph(const graph::Graph& g) {
 void BatchSimulator::apply_wakeups_and_crashes() {
   const LaneMask mis_crashed = detail::apply_plane_fault_events(
       faults_, fault_cursor_, round_, running_, live_, inmis_, dominated_, crashed_,
-      active_, in_active_, active_count_.data());
+      active_, in_active_);
   if (mis_crashed) {
     // A crashed member falls out of its lane's keep-alive frontier the
     // round it fails, exactly like the scalar mis_nodes_ compaction.
-    for (LaneMask b = mis_crashed; b != 0; b &= b - 1) {
+    for (LaneMask b = mis_lists_.empty() ? 0 : mis_crashed; b != 0; b &= b - 1) {
       const unsigned l = static_cast<unsigned>(std::countr_zero(b));
       std::erase_if(mis_lists_[l], [this, l](graph::NodeId v) {
         return ((inmis_[v] >> l) & 1u) == 0;
@@ -208,7 +210,19 @@ void BatchSimulator::deliver_beeps() {
 }
 
 void BatchSimulator::compact_active() {
-  detail::compact_plane_active(active_, in_active_, live_);
+  live_any_ = detail::compact_plane_active(active_, in_active_, live_);
+  if (reactivated_.empty()) return;
+  // Scalar round-boundary rule: a reactivated node re-enters the active
+  // list unless it is still on it (live in another lane, or reactivated
+  // twice); compaction above kept it when any live bit was set.
+  for (const graph::NodeId v : reactivated_) {
+    live_any_ |= live_[v];
+    if (in_active_[v]) continue;
+    active_.push_back(v);
+    in_active_[v] = 1;
+  }
+  std::sort(active_.begin(), active_.end());
+  reactivated_.clear();
 }
 
 LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& protocol,
@@ -245,12 +259,13 @@ LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& 
   mis_hear_.clear();
   mis_hear_valid_ = false;
   reactivated_.clear();
-  beep_counts_.assign(static_cast<std::size_t>(n) * lanes, 0);
+  beep_planes_.clear();
   reactivation_counts_.assign(lanes, 0);
-  mis_lists_.resize(lanes);
+  const bool track_join_order = config_.beep_loss_probability > 0.0 && config_.mis_keepalive;
+  mis_lists_.resize(track_join_order ? lanes : 0);
   for (auto& list : mis_lists_) list.clear();
-  active_count_.assign(lanes, static_cast<std::uint32_t>(faults_.initial_active.size()));
   lane_rounds_.assign(lanes, 0);
+  live_any_ = faults_.initial_active.empty() ? 0 : all_lanes;
   running_ = all_lanes;
   terminated_ = 0;
   fault_cursor_ = {};
@@ -276,9 +291,8 @@ LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& 
   ctx.prev_beeped_ = &prev_beeped_;
   ctx.heard_ = &heard_;
   ctx.beepers_ = &beepers_;
-  ctx.beep_counts_ = beep_counts_.data();
-  ctx.active_count_ = active_count_.data();
-  ctx.mis_lists_ = &mis_lists_;
+  ctx.beep_planes_ = &beep_planes_;
+  ctx.mis_lists_ = track_join_order ? &mis_lists_ : nullptr;
   ctx.mis_union_ = &mis_union_;
   ctx.in_mis_union_ = &in_mis_union_;
   ctx.mis_hear_valid_ = &mis_hear_valid_;
@@ -296,8 +310,8 @@ LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& 
     }
     const bool wakeups_pending = fault_cursor_.next_wakeup < faults_.wakeups.size();
     detail::retire_finished_lanes(round_, config_.run_until_round, config_.max_rounds,
-                                  wakeups_pending, active_count_.data(),
-                                  lane_rounds_.data(), running_, terminated_);
+                                  wakeups_pending, live_any_, lane_rounds_.data(), running_,
+                                  terminated_);
     if (running_ == 0) break;
 
     {
@@ -332,22 +346,10 @@ LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& 
       BEEPMIS_STM_STOP(react);
     }
     compact_active();
-    if (!reactivated_.empty()) {
-      // Scalar round-boundary rule: a reactivated node re-enters the active
-      // list unless it is still on it (live in another lane, or reactivated
-      // twice); compaction above kept it when any live bit was set.
-      for (const graph::NodeId v : reactivated_) {
-        if (in_active_[v]) continue;
-        active_.push_back(v);
-        in_active_[v] = 1;
-      }
-      std::sort(active_.begin(), active_.end());
-      reactivated_.clear();
-    }
     ++round_;
   }
 
-  return LaneOutcomes{n, lanes, crashed_, inmis_, dominated_, beep_counts_,
+  return LaneOutcomes{n, lanes, crashed_, inmis_, dominated_, beep_planes_,
                       terminated_, lane_rounds_, reactivation_counts_};
 }
 

@@ -26,7 +26,6 @@
 // (BeepProtocol::make_batch_protocol() returns nullptr).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -115,9 +114,10 @@ class BatchContext {
   const std::vector<LaneMask>* prev_beeped_ = nullptr;
   const std::vector<LaneMask>* heard_ = nullptr;
   std::vector<graph::NodeId>* beepers_ = nullptr;
-  std::uint32_t* beep_counts_ = nullptr;  ///< node-major, lane_count_ stride
-  std::uint32_t* active_count_ = nullptr;  ///< per lane
-  /// Per-lane live-MIS join-order lists (lossy keep-alive draw order).
+  /// Bit-sliced beep-episode counts (BatchSimulator::beep_planes_).
+  std::vector<LaneMask>* beep_planes_ = nullptr;
+  /// Per-lane live-MIS join-order lists (lossy keep-alive draw order);
+  /// nullptr when nothing reads them (reliable channel or no keep-alive).
   std::vector<std::vector<graph::NodeId>>* mis_lists_ = nullptr;
   /// Union of every lane's MIS members, deduplicated through in_mis_union_.
   std::vector<graph::NodeId>* mis_union_ = nullptr;
@@ -131,6 +131,10 @@ class BatchContext {
   unsigned exchange_ = 0;
   unsigned lane_count_ = 0;
   Phase phase_ = Phase::kEmit;
+
+  /// Appends count plane `beep_planes_->size() / n` holding `carry` at v
+  /// (the carry out of the top plane), or drops it at kMaxBeepPlanes.
+  void add_beep_plane(graph::NodeId v, LaneMask carry);
 };
 
 /// Batched counterpart of BeepProtocol.  Implementations must reproduce the
@@ -187,6 +191,8 @@ class BatchSimulator {
   void bind_graph(const graph::Graph& g);
   void apply_wakeups_and_crashes();
   void deliver_beeps();
+  /// Round boundary: compacts the union frontier, merges reactivated
+  /// nodes and recomputes live_any_.
   void compact_active();
 
   const graph::Graph* graph_ = nullptr;
@@ -232,12 +238,18 @@ class BatchSimulator {
 
   // Per-lane state.
   std::vector<support::Xoshiro256StarStar> rngs_;
-  std::vector<std::vector<graph::NodeId>> mis_lists_;  ///< per-lane live MIS, join order
-  std::vector<std::uint32_t> active_count_;            ///< per-lane |active list|
+  /// Per-lane live MIS in join order; filled only under lossy keep-alive,
+  /// whose draw order is their one reader.
+  std::vector<std::vector<graph::NodeId>> mis_lists_;
   std::vector<std::size_t> lane_rounds_;
-  /// Per-(node, lane) beep episodes, node-major: beep_counts_[v * lanes + l].
-  std::vector<std::uint32_t> beep_counts_;
+  /// Per-(node, lane) beep episodes, bit-sliced and plane-major: bit l of
+  /// beep_planes_[j * n + v] is bit j of lane l's count at v.  A plane is
+  /// appended only when a carry leaves the top one (LaneOutcomes).
+  std::vector<LaneMask> beep_planes_;
   std::vector<std::uint64_t> reactivation_counts_;  ///< per lane (self-healing)
+  /// OR of live_ over the union frontier as of the last round boundary:
+  /// exactly the lanes whose scalar active list is non-empty.
+  LaneMask live_any_ = 0;
   LaneMask running_ = 0;     ///< lanes still executing their round loop
   LaneMask terminated_ = 0;  ///< lanes that finished with an empty active set
 
@@ -262,13 +274,19 @@ inline void BatchContext::beep(graph::NodeId v, LaneMask lanes) {
   if (!plane) beepers_->push_back(v);
   plane |= fresh;
   // Scalar episode rule: a beep continuing from the previous exchange of
-  // the same round is one signal episode, not two.  Per-lane episode
-  // *totals* are derived from these counts at extraction time, so each
-  // episode costs exactly one scatter increment here.
-  std::uint32_t* counts = &beep_counts_[static_cast<std::size_t>(v) * lane_count_];
-  for (LaneMask b = fresh & ~(*prev_beeped_)[v]; b != 0; b &= b - 1) {
-    ++counts[std::countr_zero(b)];
+  // the same round is one signal episode, not two.  The new episodes are
+  // one ripple-carry increment of v's bit-sliced counts, all lanes at once.
+  LaneMask carry = fresh & ~(*prev_beeped_)[v];
+  if (!carry) return;
+  const std::size_t n = live_->size();
+  for (std::size_t i = v; i < beep_planes_->size(); i += n) {
+    LaneMask& count = (*beep_planes_)[i];
+    const LaneMask overflow = count & carry;
+    count ^= carry;
+    carry = overflow;
+    if (!carry) return;
   }
+  add_beep_plane(v, carry);
 }
 
 }  // namespace beepmis::sim

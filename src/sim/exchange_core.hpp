@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -40,6 +41,11 @@ inline constexpr unsigned kMaxBatchLanes = 64;
 /// batch.hpp) so the plane half of the exchange engine below can operate
 /// on lane planes without depending on the batched front-end.
 using LaneMask = std::uint64_t;
+
+/// Bit-sliced beep counts hold at most this many planes; the carry out of
+/// the top one is dropped, so a count wraps exactly like the scalar
+/// core's uint32 counter.
+inline constexpr unsigned kMaxBeepPlanes = 32;
 
 }  // namespace beepmis::sim
 
@@ -229,22 +235,21 @@ void extend_mis_hear(const std::vector<graph::NodeId>& mis_nodes, std::size_t fr
 // Plane engine: the 64-lane bitplane half of the exchange machinery,
 // driving the batched front-end (BatchSimulator).  Everything below is the
 // lane-plane analogue of the flag helpers above: per-node LaneMask planes
-// instead of uint8_t flags, per-lane counters instead of one list size.
+// instead of uint8_t flags, and a lane's active-list size reduced to one
+// bit of the live planes' OR.
 // ---------------------------------------------------------------------------
 
 /// Fires this round's wake then crash events over the status planes — the
 /// lane-plane analogue of apply_fault_events.  Wakes add
 /// running-and-not-crashed lanes to the live plane (and the union active
 /// list); crashes hit every not-yet-crashed running lane, dropping it from
-/// the live / in-MIS / dominated planes.  `active_count[l]` tracks lane
-/// l's active-list size.  Returns the lanes in which some MIS member
-/// fail-stopped; the caller prunes its join-order bookkeeping.
+/// the live / in-MIS / dominated planes.  Returns the lanes in which some
+/// MIS member fail-stopped; the caller prunes its join-order bookkeeping.
 inline LaneMask apply_plane_fault_events(
     const FaultSchedule& sched, FaultCursor& cursor, std::size_t round, LaneMask running,
     std::vector<LaneMask>& live, std::vector<LaneMask>& inmis,
     std::vector<LaneMask>& dominated, std::vector<LaneMask>& crashed,
-    std::vector<graph::NodeId>& active, std::vector<std::uint8_t>& in_active,
-    std::uint32_t* active_count) {
+    std::vector<graph::NodeId>& active, std::vector<std::uint8_t>& in_active) {
   bool active_dirty = false;
   while (cursor.next_wakeup < sched.wakeups.size() &&
          sched.wakeups[cursor.next_wakeup].first <= round) {
@@ -254,9 +259,6 @@ inline LaneMask apply_plane_fault_events(
     const LaneMask add = running & ~crashed[v];
     if (!add) continue;
     live[v] |= add;
-    for (LaneMask b = add; b != 0; b &= b - 1) {
-      ++active_count[std::countr_zero(b)];
-    }
     if (!in_active[v]) {
       in_active[v] = 1;
       active.push_back(v);
@@ -273,13 +275,7 @@ inline LaneMask apply_plane_fault_events(
     const LaneMask hit = running & ~crashed[v];
     if (!hit) continue;
     crashed[v] |= hit;
-    const LaneMask hit_live = hit & live[v];
-    if (hit_live) {
-      live[v] &= ~hit_live;
-      for (LaneMask b = hit_live; b != 0; b &= b - 1) {
-        --active_count[std::countr_zero(b)];
-      }
-    }
+    live[v] &= ~hit;
     const LaneMask hit_mis = hit & inmis[v];
     if (hit_mis) {
       inmis[v] &= ~hit_mis;
@@ -291,46 +287,39 @@ inline LaneMask apply_plane_fault_events(
 }
 
 /// Round-boundary compaction of a union active frontier: drops ids whose
-/// live plane went empty, clearing their membership bits.
-inline void compact_plane_active(std::vector<graph::NodeId>& active,
-                                 std::vector<std::uint8_t>& in_active,
-                                 const std::vector<LaneMask>& live) {
+/// live plane went empty, clearing their membership bits.  Returns the OR
+/// of the kept ids' live planes — the lanes with a non-empty active list,
+/// since every live (node, lane) pair is on the frontier.
+inline LaneMask compact_plane_active(std::vector<graph::NodeId>& active,
+                                     std::vector<std::uint8_t>& in_active,
+                                     const std::vector<LaneMask>& live) {
+  LaneMask live_any = 0;
   std::erase_if(active, [&](graph::NodeId v) {
+    live_any |= live[v];
     if (live[v] != 0) return false;
     in_active[v] = 0;
     return true;
   });
+  return live_any;
 }
 
 /// Per-lane mirror of the scalar while-condition, evaluated at the top of
 /// each round: a lane leaves the loop (freezing its planes and RNG) exactly
-/// when its scalar run would.  `active_count[l]` is lane l's active-list
-/// size and `wakeups_pending` whether any wake event remains unfired.
+/// when its scalar run would.  `live_any` holds the lanes whose active list
+/// is non-empty and `wakeups_pending` whether any wake event remains
+/// unfired.
 inline void retire_finished_lanes(std::size_t round, std::size_t run_until_round,
                                   std::size_t max_rounds, bool wakeups_pending,
-                                  const std::uint32_t* active_count,
-                                  std::size_t* lane_rounds, LaneMask& running,
-                                  LaneMask& terminated) {
-  if (!wakeups_pending && round >= run_until_round) {
-    LaneMask done = 0;
-    for (LaneMask b = running; b != 0; b &= b - 1) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-      if (active_count[l] == 0) {
-        done |= LaneMask{1} << l;
-        lane_rounds[l] = round;
-      }
-    }
-    terminated |= done;
-    running &= ~done;
+                                  LaneMask live_any, std::size_t* lane_rounds,
+                                  LaneMask& running, LaneMask& terminated) {
+  LaneMask done = 0;
+  if (!wakeups_pending && round >= run_until_round) done = running & ~live_any;
+  if (round >= max_rounds) done = running;
+  if (!wakeups_pending) terminated |= done & ~live_any;
+  for (LaneMask b = done; b != 0; b &= b - 1) {
+    lane_rounds[std::countr_zero(b)] = round;
   }
-  if (round >= max_rounds) {
-    for (LaneMask b = running; b != 0; b &= b - 1) {
-      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
-      lane_rounds[l] = round;
-      if (active_count[l] == 0 && !wakeups_pending) terminated |= LaneMask{1} << l;
-    }
-    running = 0;
-  }
+  running &= ~done;
 }
 
 /// Reliable plane delivery: one adjacency pass serves every lane via
@@ -399,8 +388,12 @@ struct LaneOutcomes {
   std::span<const LaneMask> crashed;    ///< n entries
   std::span<const LaneMask> inmis;      ///< n entries
   std::span<const LaneMask> dominated;  ///< n entries
-  /// Per-(node, lane) beep episodes, node-major: beep_counts[v * lanes + l].
-  std::span<const std::uint32_t> beep_counts;
+  /// Per-(node, lane) beep episodes, bit-sliced and plane-major: bit l of
+  /// beep_planes[j * n + v] is bit j of lane l's count at v.  The run
+  /// appended a plane only when a carry left the top one, so it holds
+  /// beep_planes.size() / n planes (at most kMaxBeepPlanes; none when
+  /// nothing beeped).  Read a node's counts through beeps_of.
+  std::span<const LaneMask> beep_planes;
   LaneMask terminated = 0;
   std::span<const std::size_t> rounds;           ///< per lane
   std::span<const std::uint64_t> reactivations;  ///< per lane
@@ -417,6 +410,21 @@ struct LaneOutcomes {
   [[nodiscard]] LaneMask dominated_lanes(graph::NodeId v) const {
     return dominated[v] & ~inmis[v] & ~crashed[v];
   }
+  /// Writes lane l's beep episodes at v to out[l] for every l < lanes and
+  /// returns the lanes whose count is non-zero.  Costs one step per set
+  /// bit of v's planes.
+  LaneMask beeps_of(graph::NodeId v, std::span<std::uint32_t, kMaxBatchLanes> out) const {
+    std::fill_n(out.begin(), lanes, 0u);
+    LaneMask nonzero = 0;
+    unsigned j = 0;
+    for (std::size_t i = v; i < beep_planes.size(); i += n, ++j) {
+      nonzero |= beep_planes[i];
+      for (LaneMask b = beep_planes[i]; b != 0; b &= b - 1) {
+        out[static_cast<unsigned>(std::countr_zero(b))] |= std::uint32_t{1} << j;
+      }
+    }
+    return nonzero;
+  }
 };
 
 }  // namespace beepmis::sim
@@ -424,11 +432,9 @@ struct LaneOutcomes {
 namespace beepmis::sim::detail {
 
 /// Per-lane RunResults of a finished batch (BatchSimulator::run).
-/// Node-major: the beep counts and the planes are each read once
-/// sequentially (lane-major order would stride through the count array 64
-/// times).  Per-lane episode totals are the per-node counts summed, so they
-/// are derived here instead of a second scatter increment per episode in
-/// BatchContext::beep.
+/// Node-major: each plane is read once sequentially.  Per-lane episode
+/// totals are the per-node counts summed, so they are derived here instead
+/// of a second increment per episode in BatchContext::beep.
 inline std::vector<RunResult> extract_lane_results(const LaneOutcomes& o) {
   std::vector<RunResult> results(o.lanes);
   for (unsigned l = 0; l < o.lanes; ++l) {
@@ -443,7 +449,6 @@ inline std::vector<RunResult> extract_lane_results(const LaneOutcomes& o) {
     const LaneMask cr = o.crashed[v];
     const LaneMask im = o.mis_lanes(v);
     const LaneMask dm = o.dominated_lanes(v);
-    const std::uint32_t* counts = &o.beep_counts[static_cast<std::size_t>(v) * o.lanes];
     for (unsigned l = 0; l < o.lanes; ++l) {
       const LaneMask bit = LaneMask{1} << l;
       NodeStatus s = NodeStatus::kActive;
@@ -455,6 +460,10 @@ inline std::vector<RunResult> extract_lane_results(const LaneOutcomes& o) {
         s = NodeStatus::kDominated;
       }
       results[l].status[v] = s;
+    }
+    std::array<std::uint32_t, kMaxBatchLanes> counts;
+    for (LaneMask b = o.beeps_of(v, counts); b != 0; b &= b - 1) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
       results[l].beep_counts[v] = counts[l];
       results[l].total_beeps += counts[l];
     }

@@ -153,6 +153,23 @@ BEEPMIS_AVX512 void feedback_pow2_avx512(std::uint16_t* k, std::uint64_t live,
   }
 }
 
+BEEPMIS_AVX512 void feedback_exact_avx512(std::uint32_t* k, std::uint64_t live,
+                                          std::uint64_t heard) noexcept {
+  const __m512i one = _mm512_set1_epi32(1);
+  for (unsigned q = 0; q < 4; ++q) {
+    const auto m = static_cast<__mmask16>(live >> (16 * q));
+    if (!m) continue;
+    const auto heard16 = static_cast<__mmask16>(heard >> (16 * q));
+    std::uint32_t* kq = k + 16 * q;
+    __m512i kv = _mm512_maskz_loadu_epi32(m, kq);
+    const __mmask16 inc = m & heard16;
+    const __mmask16 dec = _mm512_mask_cmpneq_epu32_mask(m & ~heard16, kv, one);
+    kv = _mm512_mask_add_epi32(kv, inc, kv, one);
+    kv = _mm512_mask_sub_epi32(kv, dec, kv, one);
+    _mm512_mask_storeu_epi32(kq, inc | dec, kv);
+  }
+}
+
 #endif  // BEEPMIS_LANE_BLOCK_X86
 
 }  // namespace
@@ -178,6 +195,14 @@ void LaneBlock::feedback_pow2(std::uint16_t* k, std::uint64_t live, std::uint64_
   if (supported()) return feedback_pow2_avx512(k, live, heard, k_min);
 #endif
   feedback_pow2_reference(k, live, heard, k_min);
+}
+
+void LaneBlock::feedback_exact(std::uint32_t* k, std::uint64_t live,
+                               std::uint64_t heard) noexcept {
+#ifdef BEEPMIS_LANE_BLOCK_X86
+  if (supported()) return feedback_exact_avx512(k, live, heard);
+#endif
+  feedback_exact_reference(k, live, heard);
 }
 
 }  // namespace beepmis::support

@@ -16,13 +16,17 @@
 //  * feedback_pow2 — the dyadic local-feedback +-1 exponent update: two
 //    32-lane masked 16-bit add/sub ops, with the k < 1075 sticky zero and
 //    the k > k_min floor as compare masks.
+//  * feedback_exact — the exact-exponent (uint32) +-1 update: four
+//    16-lane masked 32-bit add/sub ops, with the floor at 1 as a compare
+//    mask.
 //
-// Both are bit-identical to the per-lane reference (bernoulli_pow2 per
-// lane, feedback_pow2_reference below); tests/test_lane_block.cpp pins
-// them to it.  The SIMD bodies need avx512f, avx512bw and avx512vl,
+// All are bit-identical to the per-lane reference (bernoulli_pow2 per
+// lane, feedback_pow2_reference and feedback_exact_reference below);
+// tests/test_lane_block.cpp pins them to it.  The SIMD bodies need avx512f, avx512bw and avx512vl,
 // compiled per function with [[gnu::target]]; the choice between them and
 // the per-lane reference is made here, from supported() (checked once per
-// process), so callers always call draw_pow2 and feedback_pow2.  Non-x86
+// process), so callers always call draw_pow2, feedback_pow2 and
+// feedback_exact.  Non-x86
 // builds compile only the reference.
 #pragma once
 
@@ -79,6 +83,24 @@ class LaneBlock {
       const std::uint16_t dec =
           static_cast<std::uint16_t>((h ^ 1u) & movable & (kl > k_min));
       kl = static_cast<std::uint16_t>(kl + inc - dec);
+    }
+  }
+
+  /// feedback_exact_reference, 16 lanes per op when supported().
+  static void feedback_exact(std::uint32_t* k, std::uint64_t live,
+                             std::uint64_t heard) noexcept;
+
+  /// The exact-exponent local-feedback rule (Definition 1 in exponent
+  /// form) on every lane l in `live`: heard -> k + 1, silence -> k - 1
+  /// unless k == 1, wrapping like uint32 arithmetic.  Only k[l] of live
+  /// lanes is read or written.
+  static void feedback_exact_reference(std::uint32_t* k, std::uint64_t live,
+                                       std::uint64_t heard) noexcept {
+    for (std::uint64_t b = live; b != 0; b &= b - 1) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+      // Branchless for the same reason as feedback_pow2_reference.
+      const std::uint32_t h = static_cast<std::uint32_t>((heard >> l) & 1u);
+      k[l] += h + h - 1u + static_cast<std::uint32_t>(k[l] == 1u && h == 0u);
     }
   }
 

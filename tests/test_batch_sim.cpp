@@ -5,8 +5,13 @@
 // lanes") for the contract these pins protect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -357,6 +362,117 @@ TEST(BatchSim, ScratchReuseAcrossRunsIsExact) {
   for (unsigned l = 0; l < 64; ++l) {
     expect_identical_run(first[l], second[l], "rerun lane");
   }
+}
+
+/// A fixed beep schedule long enough to push the batched core's bit-sliced
+/// counts past eight planes.  Each run draws one key from its rng at
+/// reset.  Node v beeps in exchange 0 of round r when (r + v + key) is a
+/// multiple of its period (1..3), and in exchange 1 when r + key is even,
+/// which continues the exchange-0 episode when both fire.  Every node
+/// joins the MIS at the end of round last_round(key), 300..499.
+struct BeepSchedule {
+  static std::uint64_t draw_key(support::Xoshiro256StarStar& rng) { return rng() % 1000; }
+  static bool beeps(std::uint64_t key, graph::NodeId v, std::size_t round, unsigned exchange) {
+    if (exchange == 0) return (round + v + key) % (1 + (key + v) % 3) == 0;
+    return (round + key) % 2 == 0;
+  }
+  static std::size_t last_round(std::uint64_t key) { return 300 + key % 200; }
+  static std::uint32_t episodes(std::uint64_t key, graph::NodeId v) {
+    std::uint32_t count = 0;
+    for (std::size_t r = 0; r <= last_round(key); ++r) {
+      const bool first = beeps(key, v, r, 0);
+      count += first + (!first && beeps(key, v, r, 1));
+    }
+    return count;
+  }
+};
+
+class ScheduledBeeps final : public sim::BeepProtocol {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "scheduled-beeps"; }
+  [[nodiscard]] unsigned exchanges_per_round() const override { return 2; }
+  void reset(const graph::Graph&, support::Xoshiro256StarStar& rng) override {
+    key_ = BeepSchedule::draw_key(rng);
+  }
+  void emit(sim::BeepContext& ctx) override {
+    for (const graph::NodeId v : ctx.active_nodes()) {
+      if (BeepSchedule::beeps(key_, v, ctx.round(), ctx.exchange())) ctx.beep(v);
+    }
+  }
+  void react(sim::BeepContext& ctx) override {
+    if (ctx.exchange() != 1 || ctx.round() != BeepSchedule::last_round(key_)) return;
+    for (const graph::NodeId v : ctx.active_nodes()) ctx.join_mis(v);
+  }
+
+ private:
+  std::uint64_t key_ = 0;
+};
+
+class BatchScheduledBeeps final : public sim::BatchProtocol {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "scheduled-beeps/batch"; }
+  [[nodiscard]] unsigned exchanges_per_round() const override { return 2; }
+  void reset(const graph::Graph&, std::span<support::Xoshiro256StarStar> rngs) override {
+    keys_.clear();
+    for (auto& rng : rngs) keys_.push_back(BeepSchedule::draw_key(rng));
+  }
+  void emit(sim::BatchContext& ctx) override {
+    for (const graph::NodeId v : ctx.active_nodes()) {
+      sim::LaneMask lanes = 0;
+      for (sim::LaneMask b = ctx.live_mask(v); b != 0; b &= b - 1) {
+        const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+        if (BeepSchedule::beeps(keys_[l], v, ctx.round(), ctx.exchange())) {
+          lanes |= sim::LaneMask{1} << l;
+        }
+      }
+      if (lanes) ctx.beep(v, lanes);
+    }
+  }
+  void react(sim::BatchContext& ctx) override {
+    if (ctx.exchange() != 1) return;
+    sim::LaneMask ending = 0;
+    for (unsigned l = 0; l < keys_.size(); ++l) {
+      if (ctx.round() == BeepSchedule::last_round(keys_[l])) ending |= sim::LaneMask{1} << l;
+    }
+    for (const graph::NodeId v : ctx.active_nodes()) {
+      const sim::LaneMask joins = ctx.live_mask(v) & ending;
+      if (joins) ctx.join_mis(v, joins);
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> keys_;
+};
+
+TEST(BatchSim, CountPlanesGrowPastEightAndMatchScalar) {
+  // Up to ~500 episodes per (node, lane): the bit-sliced counts need nine
+  // planes, appended one carry at a time, and every lane retires on its
+  // own round.
+  const graph::Graph g = graph::path(12);
+  const unsigned lanes = sim::kMaxBatchLanes;
+  const std::uint64_t seed = 300;
+  sim::BatchSimulator batch_sim{sim::SimConfig{}};
+  BatchScheduledBeeps batch_protocol;
+  std::vector<support::Xoshiro256StarStar> rngs;
+  for (unsigned l = 0; l < lanes; ++l) rngs.push_back(support::Xoshiro256StarStar(seed + l));
+  const sim::LaneOutcomes outcomes = batch_sim.run_outcomes(g, batch_protocol, rngs);
+  EXPECT_GE(outcomes.beep_planes.size() / g.node_count(), 9u);
+  std::array<std::uint32_t, sim::kMaxBatchLanes> counts;
+  std::uint32_t most = 0;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    (void)outcomes.beeps_of(v, counts);
+    for (unsigned l = 0; l < lanes; ++l) {
+      auto rng = support::Xoshiro256StarStar(seed + l);
+      const std::uint64_t key = BeepSchedule::draw_key(rng);
+      EXPECT_EQ(counts[l], BeepSchedule::episodes(key, v)) << "lane " << l << " node " << v;
+      EXPECT_EQ(outcomes.rounds[l], BeepSchedule::last_round(key) + 1) << "lane " << l;
+      most = std::max(most, counts[l]);
+    }
+  }
+  EXPECT_GE(most, 256u);
+
+  ScheduledBeeps scalar_protocol;
+  expect_pair_matches(g, sim::SimConfig{}, lanes, seed, scalar_protocol, batch_protocol);
 }
 
 // Golden pin of one batched run (path(8), keep-alive, staggered wake-ups, a

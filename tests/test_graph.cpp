@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "support/rng.hpp"
 
 namespace beepmis::graph {
 namespace {
@@ -37,6 +43,64 @@ TEST(GraphBuilder, DuplicateEdgesMerged) {
   const Graph g = b.build();
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_EQ(g.degree(0), 1u);
+}
+
+/// The CSR of `edges` on n nodes by sort-and-unique over both orientations.
+std::pair<std::vector<std::uint32_t>, std::vector<NodeId>> reference_csr(
+    NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::pair<NodeId, NodeId>> entries;
+  for (const auto& [u, v] : edges) {
+    entries.emplace_back(u, v);
+    entries.emplace_back(v, u);
+  }
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<NodeId> adjacency;
+  for (const auto& [u, v] : entries) {
+    ++offsets[u + 1];
+    adjacency.push_back(v);
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  return {offsets, adjacency};
+}
+
+TEST(GraphBuilder, MatchesSortAndUniqueReference) {
+  // Random edge lists with repeats in both orientations, on node counts
+  // whose tail ids stay isolated.
+  auto rng = support::Xoshiro256StarStar(2005);
+  for (const NodeId n : {0u, 1u, 2u, 1000u}) {
+    for (const std::size_t m : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{3000}}) {
+      if (n < 2 && m > 0) continue;
+      // Edges touch only the first half of the ids (both ids when n == 2).
+      const NodeId span = n == 2 ? 2 : n / 2;
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      GraphBuilder builder(n);
+      for (std::size_t i = 0; i < m; ++i) {
+        auto u = static_cast<NodeId>(rng.below(span));
+        auto v = static_cast<NodeId>(rng.below(span - 1));
+        if (v >= u) ++v;
+        edges.emplace_back(u, v);
+        builder.add_edge(u, v);
+        if (rng.below(4) == 0) {  // a repeat, in a random orientation
+          if (rng.below(2) == 0) std::swap(u, v);
+          edges.emplace_back(u, v);
+          builder.add_edge(u, v);
+        }
+      }
+      const auto [offsets, adjacency] = reference_csr(n, edges);
+      const Graph g = builder.build();
+      const AdjacencyView view = g.view();
+      ASSERT_FALSE(view.wide());
+      ASSERT_EQ(view.node_count, n);
+      EXPECT_EQ(std::vector<std::uint32_t>(view.offsets32, view.offsets32 + n + 1), offsets)
+          << "n=" << n << " m=" << m;
+      EXPECT_EQ(std::vector<NodeId>(view.adjacency, view.adjacency + view.adjacency_count),
+                adjacency)
+          << "n=" << n << " m=" << m;
+    }
+  }
 }
 
 TEST(GraphBuilder, RejectsSelfLoop) {

@@ -4,10 +4,12 @@
 // and exponent, including the endpoints (k >= 53 below the draw
 // granularity, the 1074/1075 underflow edge, the k_min floor).  Hosts
 // without AVX-512 skip, naming the missing feature; the kernels then run
-// the reference itself.
+// the reference itself.  The exact-feedback pin runs everywhere: it checks
+// whichever body the host uses against the kernel's original loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -187,6 +189,42 @@ TEST(LaneBlock, FeedbackMatchesPerLaneReference) {
           ASSERT_EQ(k, want) << "lanes " << lanes << " k_min " << k_min << " live "
                              << live << " heard " << heard;
         }
+      }
+    }
+  }
+}
+
+/// The exact-feedback kernel's per-lane loop as it stood before the lane
+/// block took it over; feedback_exact_reference must stay equal to it.
+void exact_feedback_loop(std::uint32_t* ev, std::uint64_t live, std::uint64_t heard) {
+  for (std::uint64_t b = live; b != 0; b &= b - 1) {
+    const unsigned l = static_cast<unsigned>(std::countr_zero(b));
+    const std::uint32_t h = static_cast<std::uint32_t>((heard >> l) & 1u);
+    ev[l] += h + h - 1u + static_cast<std::uint32_t>(ev[l] == 1u && h == 0u);
+  }
+}
+
+TEST(LaneBlock, ExactFeedbackMatchesPerLaneLoop) {
+  // Both bodies against the loop, at the floor (1), at 0 and UINT32_MAX
+  // (where the uint32 wrap shows) and at random exponents.
+  Xoshiro256StarStar meta(0xe4ac7);
+  const std::uint32_t edges[] = {0, 1, 2, 3, 1074, UINT32_MAX - 1, UINT32_MAX};
+  for (const unsigned lanes : kLaneCounts) {
+    for (const std::uint64_t live : live_masks(lanes, meta)) {
+      for (const std::uint64_t heard : {std::uint64_t{0}, ~std::uint64_t{0}, meta(),
+                                        meta(), ~live}) {
+        std::vector<std::uint32_t> k(lanes);
+        for (unsigned l = 0; l < lanes; ++l) {
+          k[l] = l % 2 == 0 ? edges[(l / 2 + heard) % std::size(edges)]
+                            : static_cast<std::uint32_t>(meta() % 2000);
+        }
+        std::vector<std::uint32_t> want = k;
+        exact_feedback_loop(want.data(), live, heard);
+        std::vector<std::uint32_t> reference = k;
+        LaneBlock::feedback_exact_reference(reference.data(), live, heard);
+        ASSERT_EQ(reference, want) << "lanes " << lanes << " live " << live;
+        LaneBlock::feedback_exact(k.data(), live, heard);
+        ASSERT_EQ(k, want) << "lanes " << lanes << " live " << live << " heard " << heard;
       }
     }
   }

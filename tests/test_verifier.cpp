@@ -113,7 +113,7 @@ struct LanePlanes {
   graph::NodeId n = 0;
   unsigned lanes = 0;
   std::vector<sim::LaneMask> crashed, inmis, dominated;
-  std::vector<std::uint32_t> beep_counts;
+  std::vector<sim::LaneMask> beep_planes;  ///< three planes: counts 0..6
   sim::LaneMask terminated = 0;
   std::vector<std::size_t> rounds;
   std::vector<std::uint64_t> reactivations;
@@ -124,17 +124,23 @@ struct LanePlanes {
         crashed(nodes),
         inmis(nodes),
         dominated(nodes),
-        beep_counts(static_cast<std::size_t>(nodes) * lane_count),
+        beep_planes(3 * static_cast<std::size_t>(nodes)),
         rounds(lane_count),
         reactivations(lane_count) {
-    for (std::size_t i = 0; i < beep_counts.size(); ++i) {
-      beep_counts[i] = static_cast<std::uint32_t>(i % 7);
+    // Lane l's count at v is (v * lanes + l) % 7, bit j in plane j.
+    for (graph::NodeId v = 0; v < n; ++v) {
+      for (unsigned l = 0; l < lanes; ++l) {
+        const std::size_t count = (static_cast<std::size_t>(v) * lanes + l) % 7;
+        for (unsigned j = 0; j < 3; ++j) {
+          beep_planes[j * n + v] |= sim::LaneMask{(count >> j) & 1u} << l;
+        }
+      }
     }
     for (unsigned l = 0; l < lanes; ++l) rounds[l] = l + 1;
   }
 
   [[nodiscard]] sim::LaneOutcomes view() const {
-    return {n, lanes, crashed, inmis, dominated, beep_counts, terminated, rounds,
+    return {n, lanes, crashed, inmis, dominated, beep_planes, terminated, rounds,
             reactivations};
   }
 };
