@@ -123,7 +123,7 @@ void BatchSimulator::apply_wakeups_and_crashes() {
   if (mis_crashed) {
     // A crashed member falls out of its lane's keep-alive frontier the
     // round it fails, exactly like the scalar mis_nodes_ compaction.
-    for (LaneMask b = mis_lists_.empty() ? 0 : mis_crashed; b != 0; b &= b - 1) {
+    for (LaneMask b = mis_crashed; b != 0; b &= b - 1) {
       const unsigned l = static_cast<unsigned>(std::countr_zero(b));
       std::erase_if(mis_lists_[l], [this, l](graph::NodeId v) {
         return ((inmis_[v] >> l) & 1u) == 0;
@@ -262,7 +262,7 @@ LaneOutcomes BatchSimulator::run_outcomes(const graph::Graph& g, BatchProtocol& 
   beep_planes_.clear();
   reactivation_counts_.assign(lanes, 0);
   const bool track_join_order = config_.beep_loss_probability > 0.0 && config_.mis_keepalive;
-  mis_lists_.resize(track_join_order ? lanes : 0);
+  mis_lists_.resize(lanes);
   for (auto& list : mis_lists_) list.clear();
   lane_rounds_.assign(lanes, 0);
   live_any_ = faults_.initial_active.empty() ? 0 : all_lanes;
