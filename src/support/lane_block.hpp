@@ -22,12 +22,12 @@
 //
 // All are bit-identical to the per-lane reference (bernoulli_pow2 per
 // lane, feedback_pow2_reference and feedback_exact_reference below);
-// tests/test_lane_block.cpp pins them to it.  The SIMD bodies need avx512f, avx512bw and avx512vl,
-// compiled per function with [[gnu::target]]; the choice between them and
-// the per-lane reference is made here, from supported() (checked once per
-// process), so callers always call draw_pow2, feedback_pow2 and
-// feedback_exact.  Non-x86
-// builds compile only the reference.
+// tests/test_lane_block.cpp pins them to it.  The SIMD bodies need
+// avx512f, avx512bw and avx512vl, compiled per function with
+// [[gnu::target]]; the choice between them and the per-lane reference is
+// made here, from supported() (checked once per process), so callers
+// always call draw_pow2, feedback_pow2 and feedback_exact.  Non-x86 builds
+// compile only the reference.
 #pragma once
 
 #include <bit>
