@@ -43,6 +43,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -75,7 +76,7 @@ struct Measurement {
   std::string phase;  ///< pre-rendered ", \"phase_ns\": {...}" or empty
 };
 
-using benchcommon::best_wall_ms;
+using benchcommon::best_rep;
 
 /// Per-trial run RNG: the harness's own seed-tree node for the trial.
 support::Xoshiro256StarStar trial_rng(const support::SeedSequence& root, std::size_t trial) {
@@ -214,14 +215,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    support::reset_phase_timers();
-    const double scalar_ms = best_wall_ms(reps, [&] {
+    benchcommon::BestRep scalar = best_rep(reps, [&] {
       for (std::size_t t = 0; t < trials; ++t) {
         (void)scalar_sim.run(*scalar_protocol, trial_rng(root, t));
       }
     });
-    std::string scalar_phase = benchcommon::phase_ns_fragment();
-    const double batch_ms = best_wall_ms(reps, [&] {
+    benchcommon::BestRep batch = best_rep(reps, [&] {
       for (std::size_t first = 0; first < trials; first += sim::kMaxBatchLanes) {
         const std::size_t last = std::min(first + sim::kMaxBatchLanes, trials);
         std::vector<support::Xoshiro256StarStar> rngs;
@@ -230,10 +229,9 @@ int main(int argc, char** argv) {
         (void)batch_sim.run(g, *batch_protocol, std::move(rngs));
       }
     });
-    std::string batch_phase = benchcommon::phase_ns_fragment();
-    record(workload, protocol_name, "scalar", scalar_ms, 1.0, std::move(scalar_phase));
-    record(workload, protocol_name, "batched", batch_ms, scalar_ms / batch_ms,
-           std::move(batch_phase));
+    record(workload, protocol_name, "scalar", scalar.wall_ms, 1.0, std::move(scalar.phase));
+    record(workload, protocol_name, "batched", batch.wall_ms, scalar.wall_ms / batch.wall_ms,
+           std::move(batch.phase));
 
   };
 

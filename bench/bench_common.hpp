@@ -1,5 +1,6 @@
-// Scaffolding shared by the BENCH_core.json drivers (bench_frontier,
-// bench_batch): best-of-N wall timing and the JSON report envelope.  The
+// Scaffolding shared by the BENCH_core.json programs (bench_frontier,
+// bench_batch, bench_shard, bench_graph_tier, bench_scenarios): best-of-N
+// wall timing with its phase snapshot, and the JSON report envelope.  The
 // envelope — header fields incl. git revision + compiler, a "results"
 // array, the stdout-echo + --out file handling — must stay in one place:
 // scripts/bench_core.sh merges the reports, so a format change applied to
@@ -19,18 +20,6 @@
 
 namespace beepmis::benchcommon {
 
-template <typename Run>
-double best_wall_ms(int reps, Run&& run) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    run();
-    const auto stop = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double, std::milli>(stop - start).count());
-  }
-  return best;
-}
-
 [[nodiscard]] inline std::string json_string(const std::string& s) {
   return "\"" + s + "\"";  // bench values contain no characters needing escapes
 }
@@ -39,9 +28,7 @@ double best_wall_ms(int reps, Run&& run) {
 /// `, "phase_ns": {"beep/emit": 1234, ...}`.  Empty in a normal build
 /// (BEEPMIS_PHASE_TIMERS off — the registry never fills), so rows only
 /// carry phase_ns when the timers were compiled in; downstream tooling
-/// treats the field as optional.  Call support::reset_phase_timers()
-/// before a timed section and this right after it, so the fragment covers
-/// exactly that section's reps (warm-up and verification runs excluded).
+/// treats the field as optional.
 [[nodiscard]] inline std::string phase_ns_fragment() {
   const std::vector<support::PhaseStat> stats = support::snapshot_phase_timers();
   support::reset_phase_timers();
@@ -53,6 +40,31 @@ double best_wall_ms(int reps, Run&& run) {
   }
   out << "}";
   return out.str();
+}
+
+/// One timed bench row: the fastest rep's wall time and the phase_ns
+/// fragment of that same rep.
+struct BestRep {
+  double wall_ms = std::numeric_limits<double>::infinity();
+  std::string phase;
+};
+
+/// Runs `run` `reps` times and keeps the fastest rep.  The phase timers are
+/// reset before each rep, so a row's phase_ns covers exactly the rep its
+/// wall_ms timed (warm-up and verification runs excluded); on a
+/// single-threaded front-end its phases add up to at most wall_ms.
+template <typename Run>
+BestRep best_rep(int reps, Run&& run) {
+  BestRep best;
+  for (int r = 0; r < reps; ++r) {
+    support::reset_phase_timers();
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    const auto stop = std::chrono::steady_clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(stop - start).count();
+    if (ms < best.wall_ms) best = {ms, phase_ns_fragment()};
+  }
+  return best;
 }
 
 /// Default-ostream formatting (like the row writers), not std::to_string's

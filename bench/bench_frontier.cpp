@@ -58,7 +58,7 @@ struct Measurement {
   double speedup_vs_dense = 1.0;
 };
 
-using benchcommon::best_wall_ms;
+using benchcommon::best_rep;
 
 benchcommon::JsonReport make_report(const std::vector<Measurement>& results,
                                     std::uint64_t seed, double avg_degree,
@@ -159,14 +159,14 @@ int main(int argc, char** argv) {
     }
     RunPair pair;
     pair.checked = dense_result;
-    pair.dense_ms = best_wall_ms(reps, [&] {
-      mis::LocalFeedbackMis p;
-      (void)dense_sim.run_dense(p, support::Xoshiro256StarStar(seed));
-    });
-    pair.frontier_ms = best_wall_ms(reps, [&] {
-      mis::LocalFeedbackMis p;
-      (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
-    });
+    pair.dense_ms = best_rep(reps, [&] {
+                      mis::LocalFeedbackMis p;
+                      (void)dense_sim.run_dense(p, support::Xoshiro256StarStar(seed));
+                    }).wall_ms;
+    pair.frontier_ms = best_rep(reps, [&] {
+                         mis::LocalFeedbackMis p;
+                         (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
+                       }).wall_ms;
     return pair;
   };
 
@@ -191,10 +191,10 @@ int main(int argc, char** argv) {
   mis::LocalFeedbackMis warm_protocol;
   const sim::RunResult long_result =
       frontier_sim.run(warm_protocol, support::Xoshiro256StarStar(seed));
-  const double frontier_long_ms = best_wall_ms(reps, [&] {
-    mis::LocalFeedbackMis p;
-    (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
-  });
+  const double frontier_long_ms = best_rep(reps, [&] {
+                                    mis::LocalFeedbackMis p;
+                                    (void)frontier_sim.run(p, support::Xoshiro256StarStar(seed));
+                                  }).wall_ms;
   const std::size_t frontier_tail_only_rounds =
       long_result.rounds - converge.checked.rounds;
   const double frontier_tail_ms = std::max(1e-3, frontier_long_ms - converge.frontier_ms);

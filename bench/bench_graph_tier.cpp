@@ -31,6 +31,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -60,7 +61,7 @@ struct Measurement {
   std::string phase;  ///< pre-rendered ", \"phase_ns\": {...}" or empty
 };
 
-using benchcommon::best_wall_ms;
+using benchcommon::best_rep;
 
 void check_same(const sim::RunResult& a, const sim::RunResult& b, const char* what) {
   if (a.rounds != b.rounds || a.total_beeps != b.total_beeps ||
@@ -123,13 +124,6 @@ int main(int argc, char** argv) {
       row.cell("-");
     }
   };
-  const auto timed = [&](std::string& phase_out, auto&& run) {
-    support::reset_phase_timers();
-    const double ms = best_wall_ms(reps, run);
-    phase_out = benchcommon::phase_ns_fragment();
-    return ms;
-  };
-
   // --- build rows: in-RAM generator vs bounded-memory streamed file -------
   auto graph_rng = support::Xoshiro256StarStar(seed);
   const auto ram_build_start = std::chrono::steady_clock::now();
@@ -167,25 +161,25 @@ int main(int argc, char** argv) {
 
   // --- simulator rows: scalar and sharded on each tier ---------------------
   const sim::SimConfig config;
-  std::string phase;
 
   mis::LocalFeedbackMis scalar_protocol;
   sim::BeepSimulator scalar_sim(config);
   const sim::RunResult reference =
       scalar_sim.run(g_ram, scalar_protocol, support::Xoshiro256StarStar(seed));
-  const double scalar_ram_ms = timed(phase, [&] {
+  benchcommon::BestRep scalar_ram = best_rep(reps, [&] {
     (void)scalar_sim.run(g_ram, scalar_protocol, support::Xoshiro256StarStar(seed));
   });
-  record("converge", "scalar-ram", 1, scalar_ram_ms, 1.0, true, phase);
+  record("converge", "scalar-ram", 1, scalar_ram.wall_ms, 1.0, true,
+         std::move(scalar_ram.phase));
 
   check_same(reference,
              scalar_sim.run(g_map, scalar_protocol, support::Xoshiro256StarStar(seed)),
              "scalar mmap");
-  const double scalar_map_ms = timed(phase, [&] {
+  benchcommon::BestRep scalar_map = best_rep(reps, [&] {
     (void)scalar_sim.run(g_map, scalar_protocol, support::Xoshiro256StarStar(seed));
   });
-  record("converge", "scalar-mmap", 1, scalar_map_ms, scalar_ram_ms / scalar_map_ms,
-         true, phase);
+  record("converge", "scalar-mmap", 1, scalar_map.wall_ms,
+         scalar_ram.wall_ms / scalar_map.wall_ms, true, std::move(scalar_map.phase));
 
   struct TierCase {
     const char* impl;
@@ -205,11 +199,12 @@ int main(int argc, char** argv) {
     mis::LocalFeedbackMis protocol;
     check_same(reference, sharded_sim.run(protocol, support::Xoshiro256StarStar(seed)),
                tier.impl);
-    const double ms = timed(phase, [&] {
+    benchcommon::BestRep sharded = best_rep(reps, [&] {
       (void)sharded_sim.run(protocol, support::Xoshiro256StarStar(seed));
     });
-    if (sharded_ram_ms == 0.0) sharded_ram_ms = ms;
-    record("converge", tier.impl, shards, ms, sharded_ram_ms / ms, true, phase);
+    if (sharded_ram_ms == 0.0) sharded_ram_ms = sharded.wall_ms;
+    record("converge", tier.impl, shards, sharded.wall_ms, sharded_ram_ms / sharded.wall_ms,
+           true, std::move(sharded.phase));
   }
 
   std::filesystem::remove(file_path);

@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
     harness::TrialConfig config = base;
     config.scenario = c.scenarios;
     harness::TrialStats stats;
-    const double wall_ms = benchcommon::best_wall_ms(reps, [&] {
-      stats = harness::run_beep_trials(graphs, c.protocols, config);
-    });
+    const double wall_ms = benchcommon::best_rep(reps, [&] {
+                             stats = harness::run_beep_trials(graphs, c.protocols, config);
+                           }).wall_ms;
 
     Measurement m;
     m.protocol = c.protocol;

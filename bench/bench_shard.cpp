@@ -29,9 +29,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,31 +64,24 @@ struct Measurement {
   std::string phase;  ///< pre-rendered ", \"phase_ns\": {...}" or empty
 };
 
-using benchcommon::best_wall_ms;
+using benchcommon::best_rep;
 
 /// Parses --shards; exits with a clear message on junk (a non-numeric
 /// token, 0, or a count the simulator would reject) rather than recording
-/// a mislabeled row or dying in an uncaught std::stoul throw.
+/// a mislabeled row.
 std::vector<unsigned> parse_shard_list(const std::string& csv) {
   std::vector<unsigned> shards;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    unsigned long value = 0;
-    std::size_t consumed = 0;
-    try {
-      value = std::stoul(item, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != item.size() || value == 0 ||
-        value > sim::ShardedSimulator::kMaxShards) {
+    const std::optional<std::uint64_t> value = support::parse_decimal_u64(item);
+    if (!value || *value == 0 || *value > sim::ShardedSimulator::kMaxShards) {
       std::cerr << "--shards: '" << item << "' is not a shard count in [1, "
                 << sim::ShardedSimulator::kMaxShards << "]\n";
       std::exit(1);
     }
-    shards.push_back(static_cast<unsigned>(value));
+    shards.push_back(static_cast<unsigned>(*value));
   }
   if (shards.empty()) shards = {1, 2, 8};
   return shards;
@@ -159,40 +154,29 @@ int main(int argc, char** argv) {
       boundary += p.boundary_nodes(s).size();
     }
   };
-  /// Best-of-`reps` wall time for `run`, with the per-phase counters reset
-  /// going in and snapshotted coming out (so phase_out covers exactly this
-  /// row's reps — verification runs excluded).
-  const auto timed = [&](int reps_for_row, std::string& phase_out, auto&& run) {
-    support::reset_phase_timers();
-    const double ms = best_wall_ms(reps_for_row, run);
-    phase_out = benchcommon::phase_ns_fragment();
-    return ms;
-  };
-
   const auto measure_workload = [&](const std::string& workload,
                                     const sim::SimConfig& config) {
     sim::BeepSimulator scalar_sim(g, config);
     mis::LocalFeedbackMis scalar_protocol;
     const sim::RunResult reference =
         scalar_sim.run(scalar_protocol, support::Xoshiro256StarStar(seed));
-    std::string phase;
-    const double scalar_ms = timed(reps, phase, [&] {
+    benchcommon::BestRep scalar = best_rep(reps, [&] {
       (void)scalar_sim.run(scalar_protocol, support::Xoshiro256StarStar(seed));
     });
-    record(workload, "scalar", 1, scalar_ms, 1.0, 0, 0, phase);
+    record(workload, "scalar", 1, scalar.wall_ms, 1.0, 0, 0, std::move(scalar.phase));
 
     for (const unsigned k : shard_counts) {
       sim::ShardedSimulator sharded_sim(g, k, config);
       mis::LocalFeedbackMis protocol;
       check_same(reference, sharded_sim.run(protocol, support::Xoshiro256StarStar(seed)),
                  (workload + " k=" + std::to_string(k)).c_str());
-      const double ms = timed(reps, phase, [&] {
+      benchcommon::BestRep sharded = best_rep(reps, [&] {
         (void)sharded_sim.run(protocol, support::Xoshiro256StarStar(seed));
       });
       std::size_t cut = 0, boundary = 0;
       partition_stats(sharded_sim.partition(), cut, boundary);
-      record(workload, "sharded-k" + std::to_string(k), k, ms, scalar_ms / ms, cut, boundary,
-             phase);
+      record(workload, "sharded-k" + std::to_string(k), k, sharded.wall_ms,
+             scalar.wall_ms / sharded.wall_ms, cut, boundary, std::move(sharded.phase));
     }
   };
 

@@ -55,20 +55,6 @@ void print_stats_bits(const char* name, const beepmis::support::RunningStats& s)
             << to_hex_u64(std::bit_cast<std::uint64_t>(st.max)) << '\n';
 }
 
-/// A count flag, range-checked for its destination type; throws
-/// std::invalid_argument naming the flag.
-template <typename T>
-T count_flag(const beepmis::support::Options& options, const std::string& name) {
-  return static_cast<T>(beepmis::cli::parse_count_flag("--" + name, options.get(name),
-                                                       std::numeric_limits<T>::max()));
-}
-
-/// A real-valued flag (finite, non-negative, full-match); throws
-/// std::invalid_argument naming the flag.
-double real_flag(const beepmis::support::Options& options, const std::string& name) {
-  return beepmis::cli::parse_real_flag("--" + name, options.get(name));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,14 +140,16 @@ int main(int argc, char** argv) {
     if (const std::string text = options.get("spec"); !text.empty()) {
       spec = cli::parse_sweep_spec(text);
     } else {
+      // NodeId, unsigned and uint32_t counts: range-checked before the cast.
+      constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
       cli::GraphSpec& gspec = spec.graph;
       gspec.family = options.get("graph");
-      gspec.n = count_flag<graph::NodeId>(options, "n");
-      gspec.p = real_flag(options, "p");
-      gspec.rows = count_flag<graph::NodeId>(options, "rows");
-      gspec.cols = count_flag<graph::NodeId>(options, "cols");
-      gspec.k = count_flag<graph::NodeId>(options, "k");
-      gspec.seed = count_flag<std::uint64_t>(options, "graph-seed");
+      gspec.n = static_cast<graph::NodeId>(options.get_u64("n", kU32Max));
+      gspec.p = options.get_double("p");
+      gspec.rows = static_cast<graph::NodeId>(options.get_u64("rows", kU32Max));
+      gspec.cols = static_cast<graph::NodeId>(options.get_u64("cols", kU32Max));
+      gspec.k = static_cast<graph::NodeId>(options.get_u64("k", kU32Max));
+      gspec.seed = options.get_u64("graph-seed");
       if (const std::string graph_file = options.get("graph-file"); !graph_file.empty()) {
         gspec.family = "file";
         gspec.path = graph_file;
@@ -169,32 +157,32 @@ int main(int argc, char** argv) {
 
       cli::AlgorithmSpec& aspec = spec.algorithm;
       aspec.name = options.get("algorithm");
-      aspec.sim.beep_loss_probability = real_flag(options, "loss");
+      aspec.sim.beep_loss_probability = options.get_double("loss");
       aspec.sim.mis_keepalive = options.get_bool("keepalive");
-      aspec.sim.max_rounds = count_flag<std::size_t>(options, "max-rounds");
-      aspec.factor = real_flag(options, "factor");
-      aspec.initial_p = real_flag(options, "initial-p");
-      aspec.shards = count_flag<unsigned>(options, "shards");
+      aspec.sim.max_rounds = options.get_u64("max-rounds");
+      aspec.factor = options.get_double("factor");
+      aspec.initial_p = options.get_double("initial-p");
+      aspec.shards = static_cast<unsigned>(options.get_u64("shards", kU32Max));
       aspec.sim.shard_local_adjacency = options.get_bool("shard-local");
-      aspec.sim.run_until_round = count_flag<std::size_t>(options, "run-until");
+      aspec.sim.run_until_round = options.get_u64("run-until");
       aspec.sim.track_recovery = options.get_bool("track-recovery");
       aspec.scenario.name = options.get("scenario");
-      aspec.scenario.rate = real_flag(options, "scenario-rate");
-      aspec.scenario.round_lo = count_flag<std::uint32_t>(options, "scenario-lo");
-      aspec.scenario.round_hi = count_flag<std::uint32_t>(options, "scenario-hi");
-      aspec.scenario.budget = count_flag<std::size_t>(options, "scenario-budget");
-      aspec.scenario.seed = count_flag<std::uint64_t>(options, "scenario-seed");
+      aspec.scenario.rate = options.get_double("scenario-rate");
+      aspec.scenario.round_lo = static_cast<std::uint32_t>(options.get_u64("scenario-lo", kU32Max));
+      aspec.scenario.round_hi = static_cast<std::uint32_t>(options.get_u64("scenario-hi", kU32Max));
+      aspec.scenario.budget = options.get_u64("scenario-budget");
+      aspec.scenario.seed = options.get_u64("scenario-seed");
 
-      spec.trials = count_flag<std::size_t>(options, "trials");
-      spec.base_seed = count_flag<std::uint64_t>(options, "seed");
-      spec.threads = count_flag<unsigned>(options, "threads");
+      spec.trials = options.get_u64("trials");
+      spec.base_seed = options.get_u64("seed");
+      spec.threads = static_cast<unsigned>(options.get_u64("threads", kU32Max));
       spec.journal_path = options.get("journal");
       spec.resume = options.get_bool("resume");
-      spec.budget_seconds = real_flag(options, "budget");
-      spec.trial_timeout_seconds = real_flag(options, "trial-timeout");
+      spec.budget_seconds = options.get_double("budget");
+      spec.trial_timeout_seconds = options.get_double("trial-timeout");
       spec.isolate_faults = options.get_bool("isolate-faults");
-      spec.max_retries = count_flag<unsigned>(options, "max-retries");
-      spec.checkpoint_interval = count_flag<std::size_t>(options, "checkpoint-interval");
+      spec.max_retries = static_cast<unsigned>(options.get_u64("max-retries", kU32Max));
+      spec.checkpoint_interval = options.get_u64("checkpoint-interval");
     }
 
     // Save-graph mode: materialise the workload as an on-disk BMCSR file

@@ -84,13 +84,12 @@ int main(int argc, char** argv) {
   unsigned shards = 0;
   double budget_seconds = 0.0;
   try {
-    sensors = static_cast<graph::NodeId>(cli::parse_count_flag(
-        "--sensors", options.get("sensors"), std::numeric_limits<graph::NodeId>::max()));
-    radius = cli::parse_real_flag("--radius", options.get("radius"));
-    seed = cli::parse_count_flag("--seed", options.get("seed"));
-    shards = static_cast<unsigned>(cli::parse_count_flag(
-        "--shards", options.get("shards"), std::numeric_limits<unsigned>::max()));
-    budget_seconds = cli::parse_real_flag("--budget", options.get("budget"));
+    sensors = static_cast<graph::NodeId>(
+        options.get_u64("sensors", std::numeric_limits<graph::NodeId>::max()));
+    radius = options.get_double("radius");
+    seed = options.get_u64("seed");
+    shards = static_cast<unsigned>(options.get_u64("shards", std::numeric_limits<unsigned>::max()));
+    budget_seconds = options.get_double("budget");
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << '\n' << options.usage("sensor_network");
     return 1;

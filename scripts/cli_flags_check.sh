@@ -2,13 +2,17 @@
 # CLI contract checks through the real beepmis_cli binary.
 #
 #   scripts/cli_flags_check.sh <path-to-beepmis_cli> [workdir] [path-to-sensor_network]
+#                              [path-to-bench_batch]
 #
 # 1. Every count and seed flag rejects a non-numeric, a negative and an
 #    out-of-range value with exit 1 and a message naming the flag — no
 #    abort, no wrap-around to a huge graph or seed.  Every real-valued
 #    flag does the same for non-numeric, negative, partial and non-finite
 #    values.  The sensor_network example (default: next to beepmis_cli)
-#    does the same for its --seed, --sensors, --radius and --shards.
+#    does the same for its --seed, --sensors, --radius and --shards.  A
+#    bench program (bench_batch, when given) parses its flags through the
+#    same strict getters; it does not catch, so it must die non-zero with
+#    the flag-naming message on stderr instead of running a wrapped count.
 # 2. The largest seed, 2^64 - 1, survives --print-spec and a --spec
 #    round trip byte for byte.
 # 3. A plain `--trials=130` run and a `--spec=` run of its own
@@ -16,11 +20,14 @@
 #    the flags and the serialized request are one sweep.
 # 4. An explicit --shards on an algorithm without sharded support runs
 #    unsharded and says so on a `fallback` line naming the shard count.
+# 5. A checkpoint interval near 2^64 (flag or --spec) runs like the default
+#    one: it saturates instead of wrapping to a zero chunk size.
 set -u
 
-CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir] [sensor_network]}
+CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir] [sensor_network] [bench_batch]}
 WORKDIR=${2:-$(mktemp -d)}
 SENSOR=${3:-$(dirname "$CLI")/sensor_network}
+BENCH=${4:-}
 mkdir -p "$WORKDIR"
 
 fail() { echo "cli_flags_check: FAIL: $*" >&2; exit 1; }
@@ -60,6 +67,20 @@ for value in abc -1 0.5x nan; do
   expect_rejected_by "$SENSOR" radius "$value"
 done
 
+if [ -n "$BENCH" ]; then
+  for case in n=abc n=-5 trials=1e3; do
+    flag=${case%%=*}
+    timeout 20 "$BENCH" --n=64 --trials=1 --reps=1 --out=- "--$case" \
+      > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
+    status=$?
+    { [ "$status" -ne 0 ] && [ "$status" -ne 124 ]; } \
+      || fail "$(basename "$BENCH") --$case exited $status, expected a non-zero exit"
+    grep -qF -- "--$flag:" "$WORKDIR/err.txt" \
+      || fail "$(basename "$BENCH") --$case: stderr does not name the flag:" \
+              "$(cat "$WORKDIR/err.txt")"
+  done
+fi
+
 max_seed=18446744073709551615
 "$CLI" --seed=$max_seed --graph-seed=$max_seed --print-spec > "$WORKDIR/max.spec" \
   || fail "--seed=$max_seed --print-spec exited nonzero"
@@ -84,5 +105,24 @@ diff -u "$WORKDIR/plain.bits" "$WORKDIR/spec.bits" \
   || fail "pure-beep --shards=2 exited nonzero"
 grep -qE '^fallback .*shards=2' "$WORKDIR/pure.txt" \
   || fail "pure-beep --shards=2 printed no fallback line: $(cat "$WORKDIR/pure.txt")"
+
+"$CLI" --graph=ring --n=20 --trials=3 > "$WORKDIR/interval_default.txt" \
+  || fail "default checkpoint interval run exited nonzero"
+grep -E '^stats_bits ' "$WORKDIR/interval_default.txt" > "$WORKDIR/interval_default.bits"
+[ -s "$WORKDIR/interval_default.bits" ] || fail "default interval run printed no stats_bits"
+for interval in 18446744073709551615 18446744073709551600; do
+  "$CLI" --graph=ring --n=20 --trials=3 --checkpoint-interval=$interval \
+    > "$WORKDIR/interval.txt" 2>&1 \
+    || fail "--checkpoint-interval=$interval exited $?: $(tail -n 3 "$WORKDIR/interval.txt")"
+  grep -E '^stats_bits ' "$WORKDIR/interval.txt" | diff -u "$WORKDIR/interval_default.bits" - \
+    || fail "--checkpoint-interval=$interval changed the stats_bits"
+  spec=$("$CLI" --graph=ring --n=20 --trials=3 --checkpoint-interval=$interval --print-spec \
+         | sed -n 's/^\(sweepspec .*\)$/\1/p')
+  "$CLI" --spec="$spec" > "$WORKDIR/interval_spec.txt" 2>&1 \
+    || fail "--spec with checkpoint_interval=$interval exited $?"
+  grep -E '^stats_bits ' "$WORKDIR/interval_spec.txt" \
+    | diff -u "$WORKDIR/interval_default.bits" - \
+    || fail "--spec with checkpoint_interval=$interval changed the stats_bits"
+done
 
 echo "cli_flags_check: PASS"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -340,38 +339,6 @@ std::string algorithm_help() {
     help += line + std::string(algorithm.help) + '\n';
   }
   return help;
-}
-
-double parse_real_flag(const std::string& flag, const std::string& value) {
-  const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a finite, non-negative number, got '" +
-                                value + "'");
-  };
-  if (value.empty()) bad();
-  const char* begin = value.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end != begin + value.size()) bad();        // trailing garbage ("5s", "1,5")
-  if (!std::isfinite(parsed) || parsed < 0.0) bad();  // "nan", "inf", "-1"
-  return parsed;
-}
-
-std::uint64_t parse_count_flag(const std::string& flag, const std::string& value,
-                               std::uint64_t max) {
-  const auto bad = [&] {
-    throw std::invalid_argument(flag + ": expected a non-negative integer no greater than " +
-                                std::to_string(max) + ", got '" + value + "'");
-  };
-  if (value.empty() || value.size() > 20) bad();
-  std::uint64_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (parsed > (UINT64_MAX - digit) / 10) bad();  // beyond 2^64 - 1
-    parsed = parsed * 10 + digit;
-  }
-  if (parsed > max) bad();
-  return parsed;
 }
 
 std::uint64_t sweep_fingerprint(const SweepSpec& spec) {

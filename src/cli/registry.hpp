@@ -137,20 +137,6 @@ struct Algorithm {
 
 // --- Crash-safe trial sweeps (the harness path; src/exp/README.md) ------
 
-/// Strict real-valued flag validation (durations, probabilities, rates,
-/// factors): a finite, non-negative number, full-match.  Throws
-/// std::invalid_argument naming the flag with a clear message on negative,
-/// non-numeric or partially numeric input (the kMaxShards guard style) —
-/// never silently truncates.  Range checks beyond sign stay with the
-/// consumer of the value (SweepSpec / AlgorithmSpec validation).
-[[nodiscard]] double parse_real_flag(const std::string& flag, const std::string& value);
-
-/// Strict count-flag validation: a non-negative decimal integer no
-/// greater than `max`, full-match (rejects "-3", "1e3", "7x", anything
-/// beyond 2^64 - 1).  Throws std::invalid_argument naming the flag.
-[[nodiscard]] std::uint64_t parse_count_flag(const std::string& flag, const std::string& value,
-                                             std::uint64_t max = UINT64_MAX);
-
 /// A crash-safe multi-trial sweep request: one graph (GraphSpec), one
 /// algorithm of either model, and harness-derived per-trial seeds: trial
 /// t draws from harness::trial_run_seed(base_seed, t), a node of the

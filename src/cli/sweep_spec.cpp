@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -12,6 +12,7 @@
 
 #include "sim/sharded.hpp"
 #include "support/hash.hpp"
+#include "support/options.hpp"
 
 namespace beepmis::cli {
 
@@ -52,16 +53,9 @@ std::uint64_t parse_u64_value(const std::string& key, std::string_view value,
     fail(key + ": expected an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) +
          "], got '" + std::string(value) + "'");
   };
-  if (value.empty() || value.size() > 20) bad();
-  std::uint64_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') bad();  // rejects "-3", "+3", "1e3", "7x"
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (parsed > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) bad();
-    parsed = parsed * 10 + digit;
-  }
-  if (parsed < lo || parsed > hi) bad();
-  return parsed;
+  const std::optional<std::uint64_t> parsed = support::parse_decimal_u64(value);
+  if (!parsed || *parsed < lo || *parsed > hi) bad();
+  return *parsed;
 }
 
 double parse_double_value(const std::string& key, std::string_view value, double lo, double hi) {
@@ -69,14 +63,9 @@ double parse_double_value(const std::string& key, std::string_view value, double
     fail(key + ": expected a finite number in [" + render_double(lo) + ", " + render_double(hi) +
          "], got '" + std::string(value) + "'");
   };
-  if (value.empty()) bad();
-  const std::string copy(value);  // strtod needs a terminator
-  const char* begin = copy.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(begin, &end);
-  if (end != begin + copy.size()) bad();
-  if (!std::isfinite(parsed) || parsed < lo || parsed > hi) bad();
-  return parsed;
+  const std::optional<double> parsed = support::parse_finite_double(value);
+  if (!parsed || *parsed < lo || *parsed > hi) bad();
+  return *parsed;
 }
 
 bool parse_bool_value(const std::string& key, std::string_view value) {

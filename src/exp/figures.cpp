@@ -17,6 +17,9 @@ namespace beepmis::harness {
 
 namespace {
 
+/// The paper's evaluation graph is G(n, 1/2).
+constexpr double kPaperEdgeProbability = 0.5;
+
 GraphFactory gnp_factory(std::size_t n, double p) {
   return [n, p](support::Xoshiro256StarStar& rng) {
     return graph::gnp(static_cast<graph::NodeId>(n), p, rng);
@@ -49,7 +52,7 @@ std::vector<Figure3Row> figure3_experiment(std::span<const std::size_t> ns,
   std::vector<Figure3Row> rows;
   rows.reserve(ns.size());
   for (const std::size_t n : ns) {
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
 
     const TrialStats global =
         run_beep_trials(graphs, global_sweep_factory(), make_trial_config(config, n * 2));
@@ -74,13 +77,13 @@ std::vector<Figure5Row> figure5_experiment(std::span<const std::size_t> ns,
   std::vector<Figure5Row> rows;
   rows.reserve(ns.size());
   for (const std::size_t n : ns) {
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
 
     // The increasing schedule needs n and the max degree; G(n, 1/2) has
     // max degree concentrated near n/2 + O(sqrt(n log n)).
-    const BeepProtocolFactory increasing_factory = [n, &config] {
+    const BeepProtocolFactory increasing_factory = [n] {
       const auto degree_estimate = static_cast<std::size_t>(
-          config.edge_probability * static_cast<double>(n) +
+          kPaperEdgeProbability * static_cast<double>(n) +
           2.0 * std::sqrt(static_cast<double>(n)));
       return std::make_unique<mis::GlobalScheduleMis>(
           std::make_unique<mis::IncreasingSchedule>(degree_estimate, n));
@@ -164,7 +167,7 @@ std::vector<ComparisonRow> luby_comparison_experiment(std::span<const std::size_
   const LocalProtocolFactory metivier = [] { return std::make_unique<mis::MetivierMis>(); };
   const LocalProtocolFactory greedy_id = [] { return std::make_unique<mis::GreedyIdMis>(); };
   for (const std::size_t n : ns) {
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
 
     const TrialStats luby_stats =
         run_local_trials(graphs, luby, make_trial_config(config, 11000 + n));
@@ -234,7 +237,7 @@ std::vector<RobustnessRow> robustness_experiment(std::size_t n,
   rows.reserve(variants.size());
   std::uint64_t salt = 21000;
   for (const Variant& variant : variants) {
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
     const TrialStats stats = run_beep_trials(graphs, local_feedback_factory(variant.algo),
                                              make_trial_config(config, salt++));
     RobustnessRow row;
@@ -263,7 +266,7 @@ std::vector<FaultRow> fault_experiment(std::size_t n, std::span<const double> lo
     // announcement); cap rounds so the experiment finishes.
     tc.sim.max_rounds = 2000;
 
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
     const TrialStats stats =
         run_beep_trials(graphs, local_feedback_factory(), tc);
 
@@ -299,7 +302,7 @@ std::vector<FaultRow> fault_scenario_experiment(std::size_t n,
     tc.sim.track_recovery = true;
     tc.scenario = scenario;
 
-    const auto graphs = gnp_factory(n, config.edge_probability);
+    const auto graphs = gnp_factory(n, kPaperEdgeProbability);
     const BeepProtocolFactory protocols = [] {
       return std::make_unique<mis::SelfHealingLocalFeedbackMis>();
     };
@@ -337,7 +340,7 @@ std::vector<FamilyRow> family_experiment(std::size_t n, const ExperimentConfig& 
       2.0, std::round(std::sqrt(static_cast<double>(n)))));
 
   std::vector<Family> families;
-  families.push_back({"gnp(0.5)", gnp_factory(n, 0.5), false});
+  families.push_back({"gnp(0.5)", gnp_factory(n, kPaperEdgeProbability), false});
   families.push_back({"gnp(0.05)", gnp_factory(n, 0.05), false});
   families.push_back(
       {"ring", [nid](support::Xoshiro256StarStar&) { return graph::ring(nid); }, true});

@@ -18,7 +18,6 @@ struct ExperimentConfig {
   std::size_t trials = 100;
   std::uint64_t base_seed = 0x5eed;
   unsigned threads = 0;  ///< 0 = hardware concurrency
-  double edge_probability = 0.5;
 };
 
 /// One point of Figure 3: mean/stddev time steps on G(n, 1/2) for the two

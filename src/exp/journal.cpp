@@ -154,7 +154,7 @@ JournalLoadResult SweepJournal::load() const {
     if (stored_chunk != chunk_size_) return reject("chunk-size mismatch");
   }
 
-  const std::size_t num_chunks = trials_ == 0 ? 0 : (trials_ + chunk_size_ - 1) / chunk_size_;
+  const std::size_t num_chunks = trials_ == 0 ? 0 : (trials_ - 1) / chunk_size_ + 1;
   std::vector<bool> seen(num_chunks, false);
 
   // Chunk blocks: lines[4 .. size-2].

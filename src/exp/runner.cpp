@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -306,13 +307,12 @@ std::uint64_t compute_request_hash(const TrialConfig& c, bool local, std::size_t
   h.update_u64(c.request_fingerprint);
   h.update_u64(c.trials);
   h.update_u64(c.base_seed);
-  // The execution-path knobs (allow_batched, allow_sharded, shards) are
-  // excluded like the thread count: every path draws in scalar order and is
-  // bit-identical, so a journal written by a scalar run may be finished by
-  // a batched or sharded one.  The two zero words stand where earlier
-  // versions hashed a draw-order flag and a shard count that every route
-  // now fixes, so request keys — and journals and service state written
-  // under them — stay valid.
+  // The shard count is excluded like the thread count: every path draws in
+  // scalar order and is bit-identical, so a journal written by a scalar run
+  // may be finished by a batched or sharded one.  The two zero words stand
+  // where earlier versions hashed a draw-order flag and a shard count that
+  // every route now fixes, so request keys — and journals and service state
+  // written under them — stay valid.
   h.update_u64(0);
   h.update_u64(0);
   h.update_u64(c.shared_graph ? 1 : 0);
@@ -346,19 +346,12 @@ void validate_sweep_config(const TrialConfig& config, const char* who) {
   }
 }
 
-/// Rounds the checkpoint interval up to a multiple of the batched
-/// simulator's lane count so chunk boundaries coincide with batch
-/// boundaries: every chunk holds whole batches, so each worker unit of the
-/// batched path belongs to exactly one chunk.
-std::size_t effective_chunk_size(const TrialConfig& config) {
-  return effective_checkpoint_interval(config.checkpoint_interval);
-}
-
 void init_sweep(SweepState& sweep, const TrialConfig& config, bool local) {
   sweep.config = &config;
-  sweep.chunk_size = effective_chunk_size(config);
-  sweep.num_chunks =
-      config.trials == 0 ? 0 : (config.trials + sweep.chunk_size - 1) / sweep.chunk_size;
+  // Chunks hold whole 64-lane batches, so each worker unit of the batched
+  // path belongs to exactly one chunk.
+  sweep.chunk_size = effective_checkpoint_interval(config.checkpoint_interval);
+  sweep.num_chunks = checkpoint_chunk_count(config.trials, config.checkpoint_interval);
   sweep.records.resize(config.trials);
   sweep.chunk_stats.resize(sweep.num_chunks);
   sweep.remaining = std::make_unique<std::atomic<std::size_t>[]>(sweep.num_chunks);
@@ -397,6 +390,11 @@ void init_sweep(SweepState& sweep, const TrialConfig& config, bool local) {
   }
 }
 
+/// Retry backoff under isolate_trial_faults: the first retry waits 1 ms,
+/// each later one twice as long, capped at 100 ms.
+constexpr unsigned kFirstRetryBackoffMs = 1;
+constexpr unsigned kMaxRetryBackoffMs = 100;
+
 /// Runs `attempt` under the sweep's fault-isolation policy: without
 /// isolate_trial_faults the first exception propagates (fail-fast, the
 /// historical behaviour); with it, failed attempts are retried with
@@ -412,7 +410,7 @@ AttemptOutcome run_with_isolation(const TrialConfig& config, const DeadlinePtr& 
                                   Attempt&& attempt) {
   const unsigned attempts_allowed =
       config.isolate_trial_faults ? 1 + config.max_retries : 1;
-  unsigned backoff_ms = std::min(config.retry_backoff_ms, config.max_retry_backoff_ms);
+  unsigned backoff_ms = kFirstRetryBackoffMs;
   for (unsigned attempt_no = 1;; ++attempt_no) {
     try {
       arm_deadline(deadline, config.trial_timeout_seconds);
@@ -424,10 +422,8 @@ AttemptOutcome run_with_isolation(const TrialConfig& config, const DeadlinePtr& 
         return {false, attempt_no,
                 support::detail::exception_message(std::current_exception())};
       }
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      }
-      backoff_ms = std::min(backoff_ms == 0 ? 1u : backoff_ms * 2, config.max_retry_backoff_ms);
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, kMaxRetryBackoffMs);
     }
   }
 }
@@ -458,7 +454,7 @@ sim::SimConfig with_deadline(sim::SimConfig config, const DeadlinePtr& deadline)
 /// The loop every execution path runs.  The pending chunks (resumed ones
 /// are skipped whole) are cut into units of `unit_size` consecutive trials:
 /// single trials on the per-trial paths, 64-lane batches on the batched
-/// ones, which chunks hold whole (effective_chunk_size).  Workers claim
+/// ones, which chunks hold whole (init_sweep).  Workers claim
 /// whole units, so fault isolation and stop checks act per unit — a batch
 /// that exhausts its retries quarantines all of its trials — and the worker
 /// that completes a chunk's last unit checkpoints it.  `make_unit(deadline)`
@@ -610,14 +606,17 @@ std::uint64_t trial_run_seed(std::uint64_t base_seed, std::size_t trial) {
 }
 
 std::size_t effective_checkpoint_interval(std::size_t checkpoint_interval) {
-  const std::size_t lanes = sim::kMaxBatchLanes;
-  const std::size_t requested = std::max<std::size_t>(checkpoint_interval, 1);
-  return ((requested + lanes - 1) / lanes) * lanes;
+  constexpr std::size_t lanes = sim::kMaxBatchLanes;
+  // Saturate at the largest multiple of the lane count, so rounding up
+  // cannot wrap to zero.
+  constexpr std::size_t largest = std::numeric_limits<std::size_t>::max() / lanes * lanes;
+  const std::size_t requested = std::clamp<std::size_t>(checkpoint_interval, 1, largest);
+  return (requested + lanes - 1) / lanes * lanes;
 }
 
 std::size_t checkpoint_chunk_count(std::size_t trials, std::size_t checkpoint_interval) {
   const std::size_t chunk = effective_checkpoint_interval(checkpoint_interval);
-  return trials == 0 ? 0 : (trials + chunk - 1) / chunk;
+  return trials == 0 ? 0 : (trials - 1) / chunk + 1;
 }
 
 ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes,
@@ -655,10 +654,10 @@ ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes
     return plan;
   }
 
-  const bool batchable = config.allow_batched && config.shared_graph && config.trials > 0 &&
-                         !config.sim.record_trace && protocol.batch_kernel;
-  const bool shardable = config.allow_sharded && config.shards != 1 && config.trials > 0 &&
-                         !config.sim.record_trace && protocol.shard_support;
+  const bool batchable = config.shared_graph && config.trials > 0 && !config.sim.record_trace &&
+                         protocol.batch_kernel;
+  const bool shardable = config.shards != 1 && config.trials > 0 && !config.sim.record_trace &&
+                         protocol.shard_support;
   // An explicit shard count the protocol cannot honour runs unsharded; say
   // so instead of dropping the request silently.
   if (config.shards >= 2 && !protocol.shard_support) {
@@ -682,7 +681,7 @@ ExecutionPlan plan_execution(const TrialConfig& config, std::size_t shared_nodes
   // too small to shard runs scalar: it would fill one lane of a 64-lane
   // batch.
   if (shardable && config.trials == 1 && threads >= 2) {
-    if (config.shards == 0 && shared_nodes >= config.auto_shard_min_nodes) {
+    if (config.shards == 0 && shared_nodes >= kAutoShardMinNodes) {
       plan.path = ExecutionPath::kSharded;
       plan.shards = std::min(threads, sim::ShardedSimulator::kMaxShards);
       plan.workers = 1;

@@ -33,37 +33,31 @@ using LocalProtocolFactory = std::function<std::unique_ptr<sim::LocalProtocol>()
 /// run, so every worker thread needs its own; see TrialConfig::scenario).
 using FaultScenarioFactory = std::function<std::unique_ptr<sim::FaultScenario>()>;
 
+/// Auto-sharding size threshold (TrialConfig::shards = 0): a graph below
+/// it is too small for the per-exchange barriers to pay off.
+inline constexpr std::size_t kAutoShardMinNodes = std::size_t{1} << 18;
+
 struct TrialConfig {
   std::size_t trials = 100;
   std::uint64_t base_seed = 0x5eed;
   /// 0 = use hardware concurrency.
   unsigned threads = 0;
   /// Generate the graph once (from trial 0's graph seed) and reuse it for
-  /// every trial instead of resampling per trial.
+  /// every trial instead of resampling per trial.  The batched 64-lane fast
+  /// path needs it (routing: src/sim/README.md).  Trial t's run seed does
+  /// not depend on it, so a per-trial factory that returns one fixed graph
+  /// reproduces a shared-graph sweep on the scalar path, bit for bit.
   bool shared_graph = false;
-  /// Permit the batched 64-lane fast path.  It engages automatically when
-  /// shared_graph is set, the protocol provides a batched kernel
-  /// (BeepProtocol::make_batch_protocol), no trace is recorded, and the
-  /// workload is not a lossy tail-dominated sweep (where per-lane delivery
-  /// draws make batching a pessimisation; see BENCH_core.json's lossy-tail
-  /// rows).  Results are bit-identical to the scalar path either way, so
-  /// this exists only for A/B testing and benchmarking the two paths.
-  bool allow_batched = true;
   /// Shard-parallel execution (sim/sharded.hpp).  0 = auto: a lone trial
-  /// on a graph of at least `auto_shard_min_nodes` nodes runs on the
-  /// sharded simulator across `threads` (default: hardware) shards.
-  /// 1 = never.  >= 2 = force that shard count: every trial runs on the
-  /// sharded simulator, and the outer trial loop goes single-worker, since
-  /// each run already uses `shards` threads.  A protocol without sharded
-  /// support runs unsharded, with the reason in
-  /// TrialStats::scalar_fallback_reason.  Sharded runs draw in scalar
-  /// order, so shard routing never changes the numbers.
+  /// on a graph of at least kAutoShardMinNodes nodes runs on the sharded
+  /// simulator across `threads` (default: hardware) shards.  1 = never.
+  /// >= 2 = force that shard count: every trial runs on the sharded
+  /// simulator, and the outer trial loop goes single-worker, since each run
+  /// already uses `shards` threads.  A protocol without sharded support
+  /// runs unsharded, with the reason in TrialStats::scalar_fallback_reason.
+  /// Sharded runs draw in scalar order, so shard routing never changes the
+  /// numbers.
   unsigned shards = 0;
-  /// Opt-out mirror of allow_batched for the sharded path.
-  bool allow_sharded = true;
-  /// Auto-sharding size threshold: below this a run is too small for the
-  /// per-exchange barriers to pay off.  Exposed for tests.
-  std::size_t auto_shard_min_nodes = std::size_t{1} << 18;
   /// Fault scenario for every trial (see sim/scenario.hpp).  Set this —
   /// not SimConfig::scenario, which run_beep_trials rejects — so the
   /// harness can hand each worker thread its own instance.  Routing by
@@ -130,10 +124,8 @@ struct TrialConfig {
   /// deterministic protocol bugs — those quarantine after max_retries.
   bool isolate_trial_faults = false;
   /// Extra attempts after the first failure (isolate_trial_faults only).
+  /// Retry n waits 2^(n-1) ms, capped at 100 ms.
   unsigned max_retries = 2;
-  /// First retry backoff; doubles per retry, capped at max_retry_backoff_ms.
-  unsigned retry_backoff_ms = 1;
-  unsigned max_retry_backoff_ms = 100;
   /// Cooperative external stop (e.g. a signal handler): when set to true,
   /// workers stop claiming trials at the next trial boundary and the sweep
   /// returns truncated, exactly like budget expiry.

@@ -350,7 +350,7 @@ StreamCsrStats write_csr_file_streaming(NodeId node_count, const EdgeStream& str
   return stats;
 }
 
-Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
+Graph load_csr_file(const std::string& path) {
   require_little_endian(path);
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) fail_errno(path, "cannot open");
@@ -447,29 +447,27 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
     fail(path, "offsets[n] != adjacency_count (inconsistent index)");
   }
 
-  if (options.verify_checksum) {
-    const std::uint64_t fresh = support::stable_hash_bytes(std::string_view(
-        reinterpret_cast<const char*>(bytes + kHeaderSize), length - kHeaderSize));
-    if (fresh != payload_checksum) {
-      fail(path, "payload checksum mismatch (corrupted offsets or adjacency)");
-    }
-    // Structural deep-verify: every neighbour list strictly ascending (sorted,
-    // duplicate-free), in range, and loop-free — the simple-graph invariants
-    // every consumer of Graph assumes.
-    for (NodeId v = 0; v < n; ++v) {
-      const std::uint64_t begin = off(v);
-      const std::uint64_t end = off(v + 1);
-      for (std::uint64_t i = begin; i < end; ++i) {
-        const NodeId w = adjacency[i];
-        if (w >= n) {
-          fail(path, "neighbour id " + std::to_string(w) + " of node " +
-                         std::to_string(v) + " out of range");
-        }
-        if (w == v) fail(path, "self-loop at node " + std::to_string(v));
-        if (i > begin && adjacency[i - 1] >= w) {
-          fail(path, "neighbour list of node " + std::to_string(v) +
-                         " is not sorted strictly ascending");
-        }
+  const std::uint64_t fresh = support::stable_hash_bytes(std::string_view(
+      reinterpret_cast<const char*>(bytes + kHeaderSize), length - kHeaderSize));
+  if (fresh != payload_checksum) {
+    fail(path, "payload checksum mismatch (corrupted offsets or adjacency)");
+  }
+  // Structural deep-verify: every neighbour list strictly ascending (sorted,
+  // duplicate-free), in range, and loop-free — the simple-graph invariants
+  // every consumer of Graph assumes.
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t begin = off(v);
+    const std::uint64_t end = off(v + 1);
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const NodeId w = adjacency[i];
+      if (w >= n) {
+        fail(path, "neighbour id " + std::to_string(w) + " of node " +
+                       std::to_string(v) + " out of range");
+      }
+      if (w == v) fail(path, "self-loop at node " + std::to_string(v));
+      if (i > begin && adjacency[i - 1] >= w) {
+        fail(path, "neighbour list of node " + std::to_string(v) +
+                       " is not sorted strictly ascending");
       }
     }
   }

@@ -40,24 +40,19 @@ namespace beepmis::graph {
 inline constexpr unsigned char kCsrFileMagic[8] = {'B', 'M', 'C', 'S', 'R', 'G', 'R', 0};
 inline constexpr std::uint32_t kCsrFileVersion = 1;
 
-struct CsrLoadOptions {
-  /// Verify the payload checksum and scan the adjacency for out-of-range
-  /// ids and unsorted / duplicate neighbour lists before returning.  One
-  /// sequential O(n + m) pass over the mapping; disable only for trusted
-  /// freshly-written files on a hot path (the cheap structural checks —
-  /// header checksum, exact file size, offset monotonicity — always run).
-  bool verify_checksum = true;
-};
-
 /// Serialises `g` (either backend, via Graph::view()) to `path` atomically.
 /// Throws std::runtime_error naming the path on any I/O failure.
 void write_csr_file(const Graph& g, const std::string& path);
 
 /// Memory-maps `path` as a read-only Graph (the disk tier).  The returned
 /// Graph — and every copy of it — shares the mapping and keeps it alive.
-/// Throws std::runtime_error naming the path on I/O failure or any
-/// validation failure (see CsrLoadOptions).
-[[nodiscard]] Graph load_csr_file(const std::string& path, const CsrLoadOptions& options = {});
+/// Every load verifies the file whole before returning: the structural
+/// checks (header checksum, exact file size, offset monotonicity), then one
+/// sequential O(n + m) pass that checks the payload checksum and scans the
+/// adjacency for out-of-range ids, self-loops and unsorted or duplicate
+/// neighbour lists.  Throws std::runtime_error naming the path on I/O
+/// failure or any validation failure.
+[[nodiscard]] Graph load_csr_file(const std::string& path);
 
 /// Whether `path` starts with the BMCSR magic (content sniff used by the
 /// family="file" loader to pick mmap vs edge-list-text ingest).  False for

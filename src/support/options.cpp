@@ -1,9 +1,36 @@
 #include "support/options.hpp"
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace beepmis::support {
+
+std::optional<std::uint64_t> parse_decimal_u64(std::string_view text) {
+  if (text.empty() || text.size() > 20) return std::nullopt;
+  std::uint64_t parsed = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;  // rejects "-3", "+3", "1e3", "7x"
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (parsed > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;  // beyond 2^64 - 1
+    }
+    parsed = parsed * 10 + digit;
+  }
+  return parsed;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  const std::string copy(text);  // strtod needs a terminator
+  const char* begin = copy.c_str();
+  char* end = nullptr;
+  const double parsed = std::strtod(begin, &end);
+  if (end != begin + copy.size() || !std::isfinite(parsed)) return std::nullopt;
+  return parsed;
+}
 
 Options& Options::add(std::string name, std::string default_value, std::string help) {
   if (!flags_.contains(name)) order_.push_back(name);
@@ -69,13 +96,29 @@ std::string Options::get(const std::string& name) const {
   return f.value.value_or(f.default_value);
 }
 
-long Options::get_int(const std::string& name) const { return std::stol(get(name)); }
-
-std::uint64_t Options::get_u64(const std::string& name) const {
-  return std::stoull(get(name));
+long Options::get_int(const std::string& name) const {
+  return static_cast<long>(get_u64(name, std::numeric_limits<long>::max()));
 }
 
-double Options::get_double(const std::string& name) const { return std::stod(get(name)); }
+std::uint64_t Options::get_u64(const std::string& name, std::uint64_t max) const {
+  const std::string value = get(name);
+  const std::optional<std::uint64_t> parsed = parse_decimal_u64(value);
+  if (!parsed || *parsed > max) {
+    throw std::invalid_argument("--" + name + ": expected a non-negative integer no greater than " +
+                                std::to_string(max) + ", got '" + value + "'");
+  }
+  return *parsed;
+}
+
+double Options::get_double(const std::string& name) const {
+  const std::string value = get(name);
+  const std::optional<double> parsed = parse_finite_double(value);
+  if (!parsed || *parsed < 0.0) {
+    throw std::invalid_argument("--" + name + ": expected a finite, non-negative number, got '" +
+                                value + "'");
+  }
+  return *parsed;
+}
 
 bool Options::get_bool(const std::string& name) const {
   const std::string v = get(name);

@@ -6,9 +6,18 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace beepmis::support {
+
+/// Full-match parses behind the getters below and the SweepSpec keys.
+/// parse_decimal_u64: digits only (no sign, exponent, space or trailing
+/// text), at most 20 of them, no greater than 2^64 - 1.
+/// parse_finite_double: strtod over the whole text, finite ("1.5s", "nan"
+/// and "inf" fail).  nullopt on anything else.
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
+[[nodiscard]] std::optional<double> parse_finite_double(std::string_view text);
 
 class Options {
  public:
@@ -21,8 +30,13 @@ class Options {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Strict getters: the whole value must parse, or they throw
+  /// std::invalid_argument naming `--name` ("-5", "12abc", "1e3", "nan").
+  /// get_int and get_u64 read a non-negative integer no greater than
+  /// LONG_MAX or `max`; get_double a finite, non-negative number.
   [[nodiscard]] long get_int(const std::string& name) const;
-  [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;
+  [[nodiscard]] std::uint64_t get_u64(const std::string& name,
+                                      std::uint64_t max = UINT64_MAX) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 

@@ -555,8 +555,14 @@ TEST(BatchSim, BatchKernelAvailability) {
 
 // --- Harness fast path ----------------------------------------------------
 
-harness::GraphFactory shared_gnp(graph::NodeId n) {
-  return [n](support::Xoshiro256StarStar& rng) { return graph::gnp(n, 0.05, rng); };
+/// One prebuilt G(n, 0.05) graph, returned whatever RNG the harness hands
+/// the factory.  A sweep over it with shared_graph = false runs every trial
+/// on the scalar per-trial loop, on the very graph the shared_graph = true
+/// sweep batches; trial t's run seed does not depend on shared_graph, so
+/// that is the scalar reference of the identity tests below.
+harness::GraphFactory fixed_gnp(graph::NodeId n) {
+  auto rng = support::Xoshiro256StarStar(n);
+  return [g = graph::gnp(n, 0.05, rng)](support::Xoshiro256StarStar&) { return g; };
 }
 
 harness::BeepProtocolFactory local_feedback() {
@@ -584,15 +590,15 @@ TEST(BatchRunner, BatchedTrialStatsIdenticalToScalar) {
   batched.sim.max_rounds = 500;
 
   harness::TrialConfig scalar = batched;
-  scalar.allow_batched = false;
+  scalar.shared_graph = false;
 
   harness::TrialConfig batched_mt = batched;
   batched_mt.threads = 4;
 
-  const harness::TrialStats s = run_beep_trials(shared_gnp(60), local_feedback(), scalar);
-  const harness::TrialStats b = run_beep_trials(shared_gnp(60), local_feedback(), batched);
+  const harness::TrialStats s = run_beep_trials(fixed_gnp(60), local_feedback(), scalar);
+  const harness::TrialStats b = run_beep_trials(fixed_gnp(60), local_feedback(), batched);
   const harness::TrialStats bmt =
-      run_beep_trials(shared_gnp(60), local_feedback(), batched_mt);
+      run_beep_trials(fixed_gnp(60), local_feedback(), batched_mt);
   expect_identical_stats(s, b);
   expect_identical_stats(s, bmt);
 }
@@ -605,13 +611,13 @@ void expect_runner_identity(const harness::BeepProtocolFactory& protocols,
   batched.threads = 1;
   batched.shared_graph = true;
   harness::TrialConfig scalar = batched;
-  scalar.allow_batched = false;
+  scalar.shared_graph = false;
   harness::TrialConfig batched_mt = batched;
   batched_mt.threads = 4;
 
-  const harness::TrialStats s = run_beep_trials(shared_gnp(60), protocols, scalar);
-  const harness::TrialStats b = run_beep_trials(shared_gnp(60), protocols, batched);
-  const harness::TrialStats bmt = run_beep_trials(shared_gnp(60), protocols, batched_mt);
+  const harness::TrialStats s = run_beep_trials(fixed_gnp(60), protocols, scalar);
+  const harness::TrialStats b = run_beep_trials(fixed_gnp(60), protocols, batched);
+  const harness::TrialStats bmt = run_beep_trials(fixed_gnp(60), protocols, batched_mt);
   expect_identical_stats(s, b);
   expect_identical_stats(s, bmt);
 }
@@ -657,9 +663,9 @@ TEST(BatchRunner, LosslessSweepIdenticalToScalar) {
   batched.base_seed = 31;
   batched.shared_graph = true;
   harness::TrialConfig scalar = batched;
-  scalar.allow_batched = false;
-  const harness::TrialStats s = run_beep_trials(shared_gnp(50), local_feedback(), scalar);
-  const harness::TrialStats b = run_beep_trials(shared_gnp(50), local_feedback(), batched);
+  scalar.shared_graph = false;
+  const harness::TrialStats s = run_beep_trials(fixed_gnp(50), local_feedback(), scalar);
+  const harness::TrialStats b = run_beep_trials(fixed_gnp(50), local_feedback(), batched);
   expect_identical_stats(s, b);
 }
 
@@ -674,7 +680,7 @@ TEST(BatchRunner, RoundCapLanesIdenticalToScalar) {
 
   config.threads = 1;
   config.shared_graph = true;
-  const harness::TrialStats b = run_beep_trials(shared_gnp(60), local_feedback(), config);
+  const harness::TrialStats b = run_beep_trials(fixed_gnp(60), local_feedback(), config);
   EXPECT_EQ(b.trials, 100u);
   EXPECT_LT(b.terminated, b.trials);
   EXPECT_LT(b.valid, b.trials);

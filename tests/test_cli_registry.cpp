@@ -264,46 +264,6 @@ TEST(ScenarioRegistry, SelfHealingSurvivesAdversaryThroughCli) {
   EXPECT_GT(report.crashed, 0u);  // the adversary actually fired
 }
 
-TEST(SweepFlags, SecondsFlagAcceptsPlainNonNegativeNumbers) {
-  EXPECT_DOUBLE_EQ(parse_real_flag("--budget", "0"), 0.0);
-  EXPECT_DOUBLE_EQ(parse_real_flag("--budget", "2.5"), 2.5);
-  EXPECT_DOUBLE_EQ(parse_real_flag("--budget", "1e-3"), 1e-3);
-  EXPECT_DOUBLE_EQ(parse_real_flag("--p", "0.25"), 0.25);
-}
-
-TEST(SweepFlags, SecondsFlagRejectsGarbageNamingTheFlag) {
-  for (const char* bad : {"", "-1", "-0.5", "abc", "1.5s", "nan", "inf", "1..2"}) {
-    try {
-      (void)parse_real_flag("--trial-timeout", bad);
-      FAIL() << "accepted '" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("--trial-timeout"), std::string::npos)
-          << "message must name the flag: " << e.what();
-    }
-  }
-}
-
-TEST(SweepFlags, CountFlagAcceptsPlainDecimals) {
-  EXPECT_EQ(parse_count_flag("--max-retries", "0"), 0u);
-  EXPECT_EQ(parse_count_flag("--max-retries", "17"), 17u);
-  // The full uint64_t range, for seed flags.
-  EXPECT_EQ(parse_count_flag("--seed", "18446744073709551615"), UINT64_MAX);
-}
-
-TEST(SweepFlags, CountFlagRejectsGarbageNamingTheFlag) {
-  for (const char* bad :
-       {"", "-3", "1e3", "7x", "3.0", " 4", "18446744073709551616", "99999999999999999999",
-        "000000000000000000001"}) {
-    try {
-      (void)parse_count_flag("--max-retries", bad);
-      FAIL() << "accepted '" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("--max-retries"), std::string::npos)
-          << "message must name the flag: " << e.what();
-    }
-  }
-}
-
 TEST(Sweep, FingerprintSeparatesRequests) {
   SweepSpec a;
   a.graph.family = "gnp";

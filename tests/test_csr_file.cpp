@@ -157,22 +157,6 @@ TEST(CsrFile, SniffRecognisesOnlyBmcsrContent) {
   std::filesystem::remove(tiny);
 }
 
-TEST(CsrFile, SkippingTheChecksumStillRunsStructuralChecks) {
-  const std::string path = tmp_path("nocheck.bmcsr");
-  write_csr_file(ring(32), path);
-
-  CsrLoadOptions trusting;
-  trusting.verify_checksum = false;
-  expect_same_graph(ring(32), load_csr_file(path, trusting));
-
-  // Structural checks (exact size) still run without the checksum pass.
-  std::string bytes = read_file(path);
-  bytes.pop_back();
-  write_file(path, bytes);
-  EXPECT_THROW((void)load_csr_file(path, trusting), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
 // --- reject-whole validation ----------------------------------------------
 
 TEST(CsrFile, RejectsTruncatedFiles) {

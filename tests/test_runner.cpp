@@ -154,12 +154,14 @@ TEST(Runner, SingleTrialWorks) {
 
 TEST(Runner, LossyTailStatsUnchangedByHeuristic) {
   // The routing heuristic moves lossy tail-dominated sweeps off the
-  // batched path; stats must equal the forced-scalar loop exactly (they
+  // batched path; stats must equal the per-trial scalar loop exactly (they
   // always did — this pins that the heuristic changes the route, never
-  // the result).
-  const GraphFactory shared_gnp = [](support::Xoshiro256StarStar& rng) {
-    return graph::gnp(50, 0.05, rng);
-  };
+  // the result).  The reference runs the same fixed graph with
+  // shared_graph = false, which routes every trial through the scalar
+  // per-trial loop; trial t's run seed does not depend on shared_graph.
+  auto graph_rng = support::Xoshiro256StarStar(0xfade);
+  const graph::Graph g = graph::gnp(50, 0.05, graph_rng);
+  const GraphFactory fixed = [&g](support::Xoshiro256StarStar&) { return g; };
   TrialConfig config;
   config.trials = 70;
   config.base_seed = 0xfade;
@@ -170,10 +172,10 @@ TEST(Runner, LossyTailStatsUnchangedByHeuristic) {
   config.sim.run_until_round = 16;
   config.sim.max_rounds = 400;
   TrialConfig scalar = config;
-  scalar.allow_batched = false;
+  scalar.shared_graph = false;
 
-  const TrialStats a = run_beep_trials(shared_gnp, local_feedback(), config);
-  const TrialStats b = run_beep_trials(shared_gnp, local_feedback(), scalar);
+  const TrialStats a = run_beep_trials(fixed, local_feedback(), config);
+  const TrialStats b = run_beep_trials(fixed, local_feedback(), scalar);
   expect_identical_stats(a, b);
 }
 
@@ -206,7 +208,7 @@ void lossy_tail(TrialConfig& c) {
 
 TEST(PlanExecution, RoutingTable) {
   using enum ExecutionPath;
-  constexpr std::size_t kBig = std::size_t{1} << 18;  // the default auto_shard_min_nodes
+  constexpr std::size_t kBig = kAutoShardMinNodes;
   constexpr std::size_t kSmall = 1000;
   const ProtocolProbe full{true, true};
   const ProtocolProbe no_shard_support{false, true};
@@ -232,8 +234,6 @@ TEST(PlanExecution, RoutingTable) {
       {"per-trial graphs", sweep_with([](TrialConfig& c) { c.shared_graph = false; }), 0, full,
        nullptr, {kScalar, 1, 4, ""}},
       {"record_trace", sweep_with([](TrialConfig& c) { c.sim.record_trace = true; }), kSmall,
-       full, nullptr, {kScalar, 1, 4, ""}},
-      {"batching refused", sweep_with([](TrialConfig& c) { c.allow_batched = false; }), kSmall,
        full, nullptr, {kScalar, 1, 4, ""}},
       {"no trials", sweep_with([](TrialConfig& c) { c.trials = 0; }), kSmall, full, nullptr,
        {kScalar, 1, 4, ""}},
@@ -270,12 +270,6 @@ TEST(PlanExecution, RoutingTable) {
          c.trials = 64;
        }),
        kSmall, full, nullptr, {kSharded, 3, 1, ""}},
-      {"explicit shards, sharding refused",
-       sweep_with([](TrialConfig& c) {
-         c.shards = 3;
-         c.allow_sharded = false;
-       }),
-       kSmall, full, nullptr, {kBatched, 1, 4, ""}},
       {"shards = 1", sweep_with([](TrialConfig& c) { c.shards = 1; }), kBig, full, nullptr,
        {kBatched, 1, 4, ""}},
       {"no shard support, explicit shards", sweep_with([](TrialConfig& c) { c.shards = 3; }),

@@ -403,23 +403,22 @@ TEST(ShardedRunner, IdenticalStatsAcrossShardCounts) {
 }
 
 TEST(ShardedRunner, AutoShardsSingleLargeRunBitIdentically) {
-  // trials == 1, protocol shard-capable, n over the (test-lowered)
-  // threshold, several threads available -> the runner auto-shards, and
-  // the stats match the scalar run exactly.
+  // trials == 1, protocol shard-capable, n at the auto-shard threshold,
+  // several threads available -> the runner auto-shards, and the stats
+  // match the scalar run exactly.
+  constexpr auto kNodes = static_cast<graph::NodeId>(harness::kAutoShardMinNodes);
   harness::TrialConfig scalar;
   scalar.trials = 1;
   scalar.base_seed = 0x51ab;
   scalar.threads = 4;
-  scalar.allow_sharded = false;
+  scalar.shards = 1;  // never shard
   const harness::TrialStats base = harness::run_beep_trials(
-      runner_gnp(300, 6.0), [] { return std::make_unique<mis::LocalFeedbackMis>(); },
+      runner_gnp(kNodes, 6.0), [] { return std::make_unique<mis::LocalFeedbackMis>(); },
       scalar);
   harness::TrialConfig autoshard = scalar;
-  autoshard.allow_sharded = true;
   autoshard.shards = 0;
-  autoshard.auto_shard_min_nodes = 256;  // lowered so the test stays small
   const harness::TrialStats stats = harness::run_beep_trials(
-      runner_gnp(300, 6.0), [] { return std::make_unique<mis::LocalFeedbackMis>(); },
+      runner_gnp(kNodes, 6.0), [] { return std::make_unique<mis::LocalFeedbackMis>(); },
       autoshard);
   expect_identical_trial_stats(base, stats, "auto-shard");
 }

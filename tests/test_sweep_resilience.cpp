@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -191,13 +192,22 @@ BeepProtocolFactory local_feedback() {
   return [] { return std::make_unique<mis::LocalFeedbackMis>(); };
 }
 
-TrialConfig sweep_config(unsigned threads, bool allow_batched) {
+/// The local-feedback protocol under another type.  The exact-type guards
+/// of LocalFeedbackMis (local_feedback.cpp) give it neither a batch kernel
+/// nor shard support, so its sweeps run on the scalar path, with the same
+/// draws and the same request key as local_feedback()'s batched ones.
+class ScalarOnlyLocalFeedback final : public mis::LocalFeedbackMis {};
+
+BeepProtocolFactory scalar_local_feedback() {
+  return [] { return std::make_unique<ScalarOnlyLocalFeedback>(); };
+}
+
+TrialConfig sweep_config(unsigned threads) {
   TrialConfig config;
   config.trials = 640;  // 10 chunks: enough that in-flight claims never finish them all
   config.base_seed = 0xc0ffee;
   config.threads = threads;
   config.shared_graph = true;  // required by the batched paths
-  config.allow_batched = allow_batched;
   config.checkpoint_interval = 64;
   return config;
 }
@@ -205,17 +215,16 @@ TrialConfig sweep_config(unsigned threads, bool allow_batched) {
 TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
   struct Variant {
     unsigned threads;
-    bool allow_batched;
+    BeepProtocolFactory protocols;
   };
   const Variant variants[] = {
-      {1, false},  // scalar path
-      {4, false},
-      {4, true},  // batched path
+      {1, scalar_local_feedback()},  // scalar path
+      {4, scalar_local_feedback()},
+      {4, local_feedback()},  // batched path
   };
   const std::string path = temp_path("journal_resume.txt");
   for (const Variant& v : variants) {
-    const TrialStats one_shot =
-        run_beep_trials(sweep_gnp(), local_feedback(), sweep_config(v.threads, v.allow_batched));
+    const TrialStats one_shot = run_beep_trials(sweep_gnp(), v.protocols, sweep_config(v.threads));
     ASSERT_EQ(one_shot.trials, 640u);
     EXPECT_FALSE(one_shot.truncated);
 
@@ -224,23 +233,23 @@ TEST(Resilience, ResumeIsBitIdenticalToOneShot) {
     // must match the uninterrupted run bit for bit.
     for (std::size_t interrupt_after : {1u, 2u, 3u}) {
       std::remove(path.c_str());
-      TrialConfig interrupted = sweep_config(v.threads, v.allow_batched);
+      TrialConfig interrupted = sweep_config(v.threads);
       interrupted.journal_path = path;
       interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
       interrupted.on_checkpoint = [&interrupted, interrupt_after](std::size_t done) {
         if (done >= interrupt_after) interrupted.stop_request->store(true);
       };
-      const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
+      const TrialStats partial = run_beep_trials(sweep_gnp(), v.protocols, interrupted);
       ASSERT_TRUE(partial.truncated);
       EXPECT_EQ(partial.requested_trials, 640u);
       EXPECT_GE(partial.trials, 64u * interrupt_after);
       EXPECT_LT(partial.trials, 640u);
       EXPECT_EQ(partial.trials % 64u, 0u) << "truncation must land on a chunk boundary";
 
-      TrialConfig resumed_cfg = sweep_config(v.threads, v.allow_batched);
+      TrialConfig resumed_cfg = sweep_config(v.threads);
       resumed_cfg.journal_path = path;
       resumed_cfg.resume = true;
-      const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
+      const TrialStats resumed = run_beep_trials(sweep_gnp(), v.protocols, resumed_cfg);
       EXPECT_FALSE(resumed.truncated);
       EXPECT_EQ(resumed.resumed_trials, partial.trials);
       EXPECT_TRUE(resumed.resume_discarded_reason.empty());
@@ -259,6 +268,7 @@ TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
   struct Case {
     const char* name;
     TrialConfig written;
+    BeepProtocolFactory written_protocols;
     TrialConfig resumed;
   };
   const auto sharded = [](TrialConfig config) {
@@ -266,10 +276,10 @@ TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
     return config;
   };
   const Case cases[] = {
-      {"scalar, 1 thread -> batched, 4 threads", sweep_config(1, false),
-       sweep_config(4, true)},
-      {"batched, 2 threads -> sharded, K = 2", sweep_config(2, true),
-       sharded(sweep_config(2, true))},
+      {"scalar, 1 thread -> batched, 4 threads", sweep_config(1), scalar_local_feedback(),
+       sweep_config(4)},
+      {"batched, 2 threads -> sharded, K = 2", sweep_config(2), local_feedback(),
+       sharded(sweep_config(2))},
   };
   const std::string path = temp_path("journal_cross.txt");
   for (const Case& c : cases) {
@@ -283,7 +293,7 @@ TEST(Resilience, ResumeAcrossThreadCountsAndPaths) {
     interrupted.on_checkpoint = [&interrupted](std::size_t done) {
       if (done >= 2) interrupted.stop_request->store(true);
     };
-    const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
+    const TrialStats partial = run_beep_trials(sweep_gnp(), c.written_protocols, interrupted);
     ASSERT_TRUE(partial.truncated);
 
     TrialConfig resumed_cfg = c.resumed;
@@ -344,15 +354,15 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
   const std::string path = temp_path("journal_resume_corrupt.txt");
   std::remove(path.c_str());
   const TrialStats one_shot = run_beep_trials(
-      sweep_gnp(), local_feedback(), sweep_config(2, false));
+      sweep_gnp(), scalar_local_feedback(), sweep_config(2));
 
-  TrialConfig interrupted = sweep_config(2, false);
+  TrialConfig interrupted = sweep_config(2);
   interrupted.journal_path = path;
   interrupted.stop_request = std::make_shared<std::atomic<bool>>(false);
   interrupted.on_checkpoint = [&interrupted](std::size_t) {
     interrupted.stop_request->store(true);
   };
-  (void)run_beep_trials(sweep_gnp(), local_feedback(), interrupted);
+  (void)run_beep_trials(sweep_gnp(), scalar_local_feedback(), interrupted);
 
   // Corrupt one byte; resume must reject the whole journal, restart from
   // scratch, and still land on the one-shot bits.
@@ -362,10 +372,10 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
     f.seekp(40);
     f.put('~');
   }
-  TrialConfig resumed_cfg = sweep_config(2, false);
+  TrialConfig resumed_cfg = sweep_config(2);
   resumed_cfg.journal_path = path;
   resumed_cfg.resume = true;
-  const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
+  const TrialStats resumed = run_beep_trials(sweep_gnp(), scalar_local_feedback(), resumed_cfg);
   EXPECT_EQ(resumed.resumed_trials, 0u);
   EXPECT_FALSE(resumed.resume_discarded_reason.empty());
   expect_stats_bits_equal(resumed, one_shot);
@@ -375,36 +385,36 @@ TEST(Resilience, CorruptJournalIsDiscardedAndSweepRestarts) {
 TEST(Resilience, ExpiredBudgetTruncatesImmediatelyAndResumeFinishes) {
   const std::string path = temp_path("journal_budget.txt");
   std::remove(path.c_str());
-  TrialConfig config = sweep_config(2, false);
+  TrialConfig config = sweep_config(2);
   config.journal_path = path;
   config.budget_seconds = 1e-9;  // expires before the first claim
-  const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), config);
+  const TrialStats partial = run_beep_trials(sweep_gnp(), scalar_local_feedback(), config);
   EXPECT_TRUE(partial.truncated);
   EXPECT_EQ(partial.trials, 0u);
   EXPECT_EQ(partial.requested_trials, 640u);
   EXPECT_EQ(partial.rounds.count(), 0u);
 
   const TrialStats one_shot = run_beep_trials(
-      sweep_gnp(), local_feedback(), sweep_config(2, false));
-  TrialConfig resumed_cfg = sweep_config(2, false);
+      sweep_gnp(), scalar_local_feedback(), sweep_config(2));
+  TrialConfig resumed_cfg = sweep_config(2);
   resumed_cfg.journal_path = path;
   resumed_cfg.resume = true;  // nothing was checkpointed: fresh start is fine
-  const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), resumed_cfg);
+  const TrialStats resumed = run_beep_trials(sweep_gnp(), scalar_local_feedback(), resumed_cfg);
   EXPECT_FALSE(resumed.truncated);
   expect_stats_bits_equal(resumed, one_shot);
   std::remove(path.c_str());
 }
 
 TEST(Resilience, WiderIntervalsWhenTruncated) {
-  TrialConfig full_cfg = sweep_config(2, false);
-  const TrialStats full = run_beep_trials(sweep_gnp(), local_feedback(), full_cfg);
+  TrialConfig full_cfg = sweep_config(2);
+  const TrialStats full = run_beep_trials(sweep_gnp(), scalar_local_feedback(), full_cfg);
 
-  TrialConfig cut = sweep_config(2, false);
+  TrialConfig cut = sweep_config(2);
   cut.stop_request = std::make_shared<std::atomic<bool>>(false);
   cut.on_checkpoint = [&cut](std::size_t done) {
     if (done >= 1) cut.stop_request->store(true);
   };
-  const TrialStats partial = run_beep_trials(sweep_gnp(), local_feedback(), cut);
+  const TrialStats partial = run_beep_trials(sweep_gnp(), scalar_local_feedback(), cut);
   ASSERT_TRUE(partial.truncated);
   ASSERT_GT(partial.rounds.count(), 1u);
   ASSERT_LT(partial.rounds.count(), full.rounds.count());
@@ -492,8 +502,6 @@ TrialConfig chaos_config() {
   config.base_seed = 99;
   config.threads = 2;
   config.isolate_trial_faults = true;
-  config.retry_backoff_ms = 1;
-  config.max_retry_backoff_ms = 4;
   return config;
 }
 
@@ -671,6 +679,39 @@ TEST(Resilience, InvalidSweepKnobsAreRejected) {
   config.trials = 1;
   config.sim.deadline_ns = std::make_shared<std::atomic<std::int64_t>>(0);
   EXPECT_THROW((void)run(config), std::invalid_argument);
+}
+
+TEST(Resilience, HugeCheckpointIntervalSaturatesInsteadOfWrapping) {
+  // Rounding up to a multiple of 64 used to wrap UINT64_MAX to a zero chunk
+  // size, and the chunk count then divided by it.
+  constexpr std::size_t kLargest = std::numeric_limits<std::size_t>::max() / 64 * 64;
+  for (const std::size_t interval : {std::numeric_limits<std::size_t>::max(),
+                                     std::numeric_limits<std::size_t>::max() - 63}) {
+    EXPECT_EQ(effective_checkpoint_interval(interval), kLargest) << interval;
+    EXPECT_EQ(checkpoint_chunk_count(3, interval), 1u) << interval;
+    EXPECT_EQ(checkpoint_chunk_count(640, interval), 1u) << interval;
+    EXPECT_EQ(checkpoint_chunk_count(0, interval), 0u) << interval;
+  }
+  EXPECT_EQ(checkpoint_chunk_count(std::numeric_limits<std::size_t>::max(), 64),
+            std::numeric_limits<std::size_t>::max() / 64 + 1);
+
+  // A sweep with such an interval runs as one chunk: the same bits as the
+  // default interval's on a single-chunk sweep, journal included.
+  const std::string path = temp_path("journal_huge_interval.txt");
+  std::remove(path.c_str());
+  TrialConfig config = sweep_config(2);
+  config.trials = 40;
+  const TrialStats reference = run_beep_trials(sweep_gnp(), local_feedback(), config);
+  config.checkpoint_interval = std::numeric_limits<std::size_t>::max();
+  config.journal_path = path;
+  const TrialStats huge = run_beep_trials(sweep_gnp(), local_feedback(), config);
+  EXPECT_FALSE(huge.truncated);
+  expect_stats_bits_equal(huge, reference);
+  config.resume = true;
+  const TrialStats resumed = run_beep_trials(sweep_gnp(), local_feedback(), config);
+  EXPECT_EQ(resumed.resumed_trials, 40u);
+  expect_stats_bits_equal(resumed, reference);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -190,6 +191,32 @@ TEST_F(SweepServiceTest, StreamsProgressAndAnnouncesChunkTotal) {
 
   service.drain();
   service.join();
+}
+
+TEST_F(SweepServiceTest, HugeCheckpointIntervalIsServedAndServiceStaysUp) {
+  // A checkpoint interval near 2^64 used to wrap the chunk size to zero, and
+  // the chunk count in handle_submit divided by it: one submit line killed
+  // the daemon.  It saturates now, and runs like a single-chunk sweep.
+  SweepService service(config());
+  service.start();
+
+  cli::SweepSpec spec = small_spec(909, /*trials=*/3);
+  spec.checkpoint_interval = std::numeric_limits<std::size_t>::max();
+  SweepClient client = SweepClient::connect(config().socket_path);
+  const Event result = client.run(cli::format_sweep_spec(spec));
+  ASSERT_EQ(result.kind, Event::Kind::kResult);
+  EXPECT_EQ(result.status, "complete");
+  ASSERT_TRUE(result.has_stats);
+  cli::SweepSpec default_interval = spec;
+  default_interval.checkpoint_interval = 64;
+  expect_aggregates_bit_identical(result.stats, cli::run_sweep(default_interval));
+
+  SweepClient again = SweepClient::connect(config().socket_path);
+  EXPECT_TRUE(again.ping()) << "the service must survive the submit";
+
+  service.drain();
+  service.join();
+  EXPECT_EQ(service.internal_error(), "");
 }
 
 // --- dedup: attach and cache ----------------------------------------------
