@@ -5,6 +5,7 @@
 //
 //   ./bench_async [--n=200] [--trials=50] [--threads=0]
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -72,7 +73,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(options.get_int("n"));
   harness::TrialConfig base;
   base.trials = static_cast<std::size_t>(options.get_int("trials"));
-  base.threads = static_cast<unsigned>(options.get_int("threads"));
+  base.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   base.base_seed = options.get_u64("seed");
 
   const std::vector<Scenario> scenarios = {

@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -129,11 +130,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double avg_degree = options.get_double("avg-degree");
   const auto trials = static_cast<std::size_t>(options.get_int("trials"));
   const auto tail_rounds = static_cast<std::size_t>(options.get_int("tail-rounds"));
-  const int reps = static_cast<int>(options.get_int("reps"));
+  const int reps = static_cast<int>(options.get_u64("reps", std::numeric_limits<int>::max()));
   const std::uint64_t seed = options.get_u64("seed");
   const std::string git_rev = options.get("git-rev");
 

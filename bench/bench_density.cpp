@@ -5,6 +5,7 @@
 //
 //   ./bench_density [--n=500] [--trials=50] [--threads=0]
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(options.get_int("n"));
   harness::TrialConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
 
   std::cout << "=== density sweep: local feedback on G(" << n << ", p), "
             << config.trials << " trials/point ===\n\n";

@@ -7,6 +7,7 @@
 //   ./bench_distribution [--n=500] [--runs=400]
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const auto runs = static_cast<std::size_t>(options.get_int("runs"));
   const std::uint64_t seed = options.get_u64("seed");
 

@@ -6,6 +6,7 @@
 //
 //   ./bench_dynamics [--n=500] [--seed=1]
 #include <iostream>
+#include <limits>
 
 #include "graph/generators.hpp"
 #include "mis/dynamics.hpp"
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const std::uint64_t seed = options.get_u64("seed");
 
   std::cout << "=== Theorem 2 proof dynamics (lambda = 7) ===\n\n";

@@ -4,6 +4,7 @@
 //
 //   ./bench_families [--n=256] [--trials=50] [--threads=0]
 #include <iostream>
+#include <limits>
 
 #include "exp/figures.hpp"
 #include "exp/report.hpp"
@@ -29,7 +30,8 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   config.base_seed = options.get_u64("seed");
   const auto n = static_cast<std::size_t>(options.get_int("n"));
 

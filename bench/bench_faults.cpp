@@ -10,6 +10,7 @@
 //   ./bench_faults [--n=200] [--trials=50] [--threads=0]
 //   ./bench_faults --scenario=target-mis --scenario-budget=16
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "cli/registry.hpp"
@@ -42,7 +43,8 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   config.base_seed = options.get_u64("seed");
   const auto n = static_cast<std::size_t>(options.get_int("n"));
 
@@ -51,8 +53,10 @@ int main(int argc, char** argv) {
   cli::ScenarioSpec sspec;
   sspec.name = options.get("scenario");
   sspec.rate = options.get_double("scenario-rate");
-  sspec.round_lo = static_cast<std::uint32_t>(options.get_int("scenario-lo"));
-  sspec.round_hi = static_cast<std::uint32_t>(options.get_int("scenario-hi"));
+  sspec.round_lo = static_cast<std::uint32_t>(
+      options.get_u64("scenario-lo", std::numeric_limits<std::uint32_t>::max()));
+  sspec.round_hi = static_cast<std::uint32_t>(
+      options.get_u64("scenario-hi", std::numeric_limits<std::uint32_t>::max()));
   sspec.budget = static_cast<std::size_t>(options.get_int("scenario-budget"));
   sspec.seed = options.get_u64("scenario-seed");
 

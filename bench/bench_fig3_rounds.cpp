@@ -6,6 +6,7 @@
 //
 //   ./bench_fig3_rounds [--trials=100] [--threads=0] [--quick]
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "exp/figures.hpp"
@@ -31,7 +32,8 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   config.base_seed = options.get_u64("seed");
 
   std::vector<std::size_t> ns;

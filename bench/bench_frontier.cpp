@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,12 +108,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double avg_degree = options.get_double("avg-degree");
   const auto tail_rounds = static_cast<std::size_t>(options.get_int("tail-rounds"));
   const auto frontier_tail_scale =
       static_cast<std::size_t>(options.get_int("frontier-tail-scale"));
-  const int reps = static_cast<int>(options.get_int("reps"));
+  const int reps = static_cast<int>(options.get_u64("reps", std::numeric_limits<int>::max()));
   const std::uint64_t seed = options.get_u64("seed");
   const std::string git_rev = options.get("git-rev");
   constexpr std::size_t kMaxRounds = 1u << 20;

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -93,13 +94,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double avg_degree = options.get_double("avg-degree");
-  const auto shards = static_cast<unsigned>(options.get_int("shards"));
-  const int reps = static_cast<int>(options.get_int("reps"));
+  const auto shards = static_cast<unsigned>(
+      options.get_u64("shards", std::numeric_limits<unsigned>::max()));
+  const int reps = static_cast<int>(options.get_u64("reps", std::numeric_limits<int>::max()));
   const std::uint64_t seed = options.get_u64("seed");
   const std::size_t budget_bytes =
-      static_cast<std::size_t>(options.get_int("budget-mb")) << 20;
+      options.get_u64("budget-mb", std::numeric_limits<std::size_t>::max() >> 20) << 20;
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   const double p = avg_degree / static_cast<double>(n);
 

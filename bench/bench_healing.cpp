@@ -96,15 +96,18 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(options.get_int("n"));
   harness::TrialConfig base;
   base.trials = static_cast<std::size_t>(options.get_int("trials"));
-  base.threads = static_cast<unsigned>(options.get_int("threads"));
+  base.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   base.base_seed = options.get_u64("seed");
 
   if (const std::string scenario = options.get("scenario"); scenario != "none") {
     cli::ScenarioSpec spec;
     spec.name = scenario;
     spec.rate = options.get_double("scenario-rate");
-    spec.round_lo = static_cast<std::uint32_t>(options.get_int("scenario-lo"));
-    spec.round_hi = static_cast<std::uint32_t>(options.get_int("scenario-hi"));
+    spec.round_lo = static_cast<std::uint32_t>(
+        options.get_u64("scenario-lo", std::numeric_limits<std::uint32_t>::max()));
+    spec.round_hi = static_cast<std::uint32_t>(
+        options.get_u64("scenario-hi", std::numeric_limits<std::uint32_t>::max()));
     spec.budget = static_cast<std::size_t>(options.get_int("scenario-budget"));
     spec.seed = options.get_u64("scenario-seed");
 

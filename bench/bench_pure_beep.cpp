@@ -7,6 +7,7 @@
 //
 //   ./bench_pure_beep [--n=200] [--trials=100] [--threads=0]
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(options.get_int("n"));
   harness::TrialConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
 
   const harness::GraphFactory graphs = [n](support::Xoshiro256StarStar& rng) {
     return graph::gnp(static_cast<graph::NodeId>(n), 0.5, rng);

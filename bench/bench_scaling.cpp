@@ -6,6 +6,7 @@
 //   ./bench_scaling [--max-exp=6] [--trials=5] [--threads=0]
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
   const double avg_degree = options.get_double("avg-degree");
   harness::TrialConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
 
   std::cout << "=== scaling: local feedback on sparse G(n, " << avg_degree
             << "/n), " << config.trials << " trials/point ===\n\n";

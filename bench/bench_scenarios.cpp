@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
   const double avg_degree = options.get_double("avg-degree");
   const auto trials = static_cast<std::size_t>(options.get_int("trials"));
   const auto tail = static_cast<std::size_t>(options.get_int("tail-rounds"));
-  const int reps = static_cast<int>(options.get_int("reps"));
+  const int reps = static_cast<int>(options.get_u64("reps", std::numeric_limits<int>::max()));
   const std::uint64_t seed = options.get_u64("seed");
 
   // Crash budget shared by the budget-matched rows.  The static windows sit
@@ -178,7 +179,8 @@ int main(int argc, char** argv) {
   harness::TrialConfig base;
   base.trials = trials;
   base.base_seed = seed;
-  base.threads = static_cast<unsigned>(options.get_int("threads"));
+  base.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   base.shared_graph = true;
   base.sim.mis_keepalive = true;
   base.sim.run_until_round = tail;

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -118,12 +119,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double avg_degree = options.get_double("avg-degree");
   const std::vector<unsigned> shard_counts = parse_shard_list(options.get("shards"));
   const auto tail_rounds = static_cast<std::size_t>(options.get_int("tail-rounds"));
   const auto tail_max_n = static_cast<std::size_t>(options.get_int("tail-max-n"));
-  const int reps = static_cast<int>(options.get_int("reps"));
+  const int reps = static_cast<int>(options.get_u64("reps", std::numeric_limits<int>::max()));
   const std::uint64_t seed = options.get_u64("seed");
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
 

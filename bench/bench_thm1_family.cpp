@@ -7,6 +7,7 @@
 //   ./bench_thm1_family [--trials=50] [--threads=0] [--quick]
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "exp/figures.hpp"
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.trials = static_cast<std::size_t>(options.get_int("trials"));
-  config.threads = static_cast<unsigned>(options.get_int("threads"));
+  config.threads = static_cast<unsigned>(
+      options.get_u64("threads", std::numeric_limits<unsigned>::max()));
   config.base_seed = options.get_u64("seed");
 
   std::vector<std::size_t> ks = options.get_bool("quick")

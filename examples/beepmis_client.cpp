@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "cli/registry.hpp"
 #include "support/hash.hpp"
@@ -76,8 +77,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     using Event = svc::SweepClient::Event;
-    Event event = client.submit(spec_text, static_cast<int>(options.get_int("priority")),
-                                options.get("client"));
+    const auto priority =
+        static_cast<int>(options.get_u64("priority", std::numeric_limits<int>::max()));
+    Event event = client.submit(spec_text, priority, options.get("client"));
     while (event.kind == Event::Kind::kAck || event.kind == Event::Kind::kProgress) {
       if (event.kind == Event::Kind::kAck) {
         std::cout << "ack " << support::to_hex_u64(event.fingerprint) << ' ' << event.ack_mode

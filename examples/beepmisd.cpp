@@ -13,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "support/options.hpp"
@@ -46,8 +47,9 @@ int main(int argc, char** argv) {
   svc::ServiceConfig config;
   config.socket_path = options.get("socket");
   config.state_dir = options.get("state-dir");
-  config.job_workers = static_cast<unsigned>(options.get_int("workers"));
-  config.poll_ms = static_cast<int>(options.get_int("poll-ms"));
+  config.job_workers = static_cast<unsigned>(
+      options.get_u64("workers", std::numeric_limits<unsigned>::max()));
+  config.poll_ms = static_cast<int>(options.get_u64("poll-ms", std::numeric_limits<int>::max()));
 
   try {
     svc::SweepService service(config);

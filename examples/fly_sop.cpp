@@ -8,6 +8,7 @@
 //
 //   ./fly_sop [--rows=14] [--cols=30] [--seed=2013] [--timeline]
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto rows = static_cast<graph::NodeId>(options.get_int("rows"));
-  const auto cols = static_cast<graph::NodeId>(options.get_int("cols"));
+  const auto rows = static_cast<graph::NodeId>(
+      options.get_u64("rows", std::numeric_limits<graph::NodeId>::max()));
+  const auto cols = static_cast<graph::NodeId>(
+      options.get_u64("cols", std::numeric_limits<graph::NodeId>::max()));
   const std::uint64_t seed = options.get_u64("seed");
 
   const graph::Graph sheet = graph::hex_grid(rows, cols);

@@ -6,6 +6,7 @@
 //
 //   ./graph_coloring [--n=150] [--p=0.1] [--seed=5]
 #include <iostream>
+#include <limits>
 
 #include "graph/generators.hpp"
 #include "mis/applications.hpp"
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double p = options.get_double("p");
   const std::uint64_t seed = options.get_u64("seed");
 

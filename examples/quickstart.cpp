@@ -3,6 +3,7 @@
 //
 //   ./quickstart [--n=200] [--p=0.5] [--seed=1] [--dot]
 #include <iostream>
+#include <limits>
 
 #include "graph/io.hpp"
 #include "mis/mis.hpp"
@@ -25,7 +26,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto n = static_cast<graph::NodeId>(options.get_int("n"));
+  const auto n = static_cast<graph::NodeId>(
+      options.get_u64("n", std::numeric_limits<graph::NodeId>::max()));
   const double p = options.get_double("p");
   const std::uint64_t seed = options.get_u64("seed");
 

@@ -2,7 +2,7 @@
 # CLI contract checks through the real beepmis_cli binary.
 #
 #   scripts/cli_flags_check.sh <path-to-beepmis_cli> [workdir] [path-to-sensor_network]
-#                              [path-to-bench_batch]
+#                              [path-to-bench_batch] [path-to-quickstart]
 #
 # 1. Every count and seed flag rejects a non-numeric, a negative and an
 #    out-of-range value with exit 1 and a message naming the flag — no
@@ -13,6 +13,8 @@
 #    bench program (bench_batch, when given) parses its flags through the
 #    same strict getters; it does not catch, so it must die non-zero with
 #    the flag-naming message on stderr instead of running a wrapped count.
+#    The quickstart example (when given) must do the same for an --n past
+#    2^32 instead of wrapping it to a 10-node graph.
 # 2. The largest seed, 2^64 - 1, survives --print-spec and a --spec
 #    round trip byte for byte.
 # 3. A plain `--trials=130` run and a `--spec=` run of its own
@@ -24,10 +26,11 @@
 #    one: it saturates instead of wrapping to a zero chunk size.
 set -u
 
-CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir] [sensor_network] [bench_batch]}
+CLI=${1:?usage: cli_flags_check.sh <beepmis_cli> [workdir] [sensor_network] [bench_batch] [quickstart]}
 WORKDIR=${2:-$(mktemp -d)}
 SENSOR=${3:-$(dirname "$CLI")/sensor_network}
 BENCH=${4:-}
+QUICKSTART=${5:-}
 mkdir -p "$WORKDIR"
 
 fail() { echo "cli_flags_check: FAIL: $*" >&2; exit 1; }
@@ -67,18 +70,26 @@ for value in abc -1 0.5x nan; do
   expect_rejected_by "$SENSOR" radius "$value"
 done
 
+expect_uncaught_rejection() {  # binary flag=value [extra args...]
+  bin=$1 case=$2
+  flag=${case%%=*}
+  shift 2
+  timeout 20 "$bin" "$@" "--$case" > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
+  status=$?
+  { [ "$status" -ne 0 ] && [ "$status" -ne 124 ]; } \
+    || fail "$(basename "$bin") --$case exited $status, expected a non-zero exit"
+  grep -qF -- "--$flag:" "$WORKDIR/err.txt" \
+    || fail "$(basename "$bin") --$case: stderr does not name the flag:" \
+            "$(cat "$WORKDIR/err.txt")"
+}
+
 if [ -n "$BENCH" ]; then
-  for case in n=abc n=-5 trials=1e3; do
-    flag=${case%%=*}
-    timeout 20 "$BENCH" --n=64 --trials=1 --reps=1 --out=- "--$case" \
-      > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
-    status=$?
-    { [ "$status" -ne 0 ] && [ "$status" -ne 124 ]; } \
-      || fail "$(basename "$BENCH") --$case exited $status, expected a non-zero exit"
-    grep -qF -- "--$flag:" "$WORKDIR/err.txt" \
-      || fail "$(basename "$BENCH") --$case: stderr does not name the flag:" \
-              "$(cat "$WORKDIR/err.txt")"
+  for case in n=abc n=-5 trials=1e3 n=4294967297; do
+    expect_uncaught_rejection "$BENCH" "$case" --n=64 --trials=1 --reps=1 --out=-
   done
+fi
+if [ -n "$QUICKSTART" ]; then
+  expect_uncaught_rejection "$QUICKSTART" n=4294967306
 fi
 
 max_seed=18446744073709551615

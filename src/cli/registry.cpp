@@ -358,7 +358,8 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
   const AlgorithmSpec aspec = as_run(spec.algorithm, algorithm);
   // Build the graph once up front: it is shared across trials (the CLI
   // sweep semantics) and parameterises the global-increasing schedule.
-  auto g = std::make_shared<const graph::Graph>(make_graph(spec.graph));
+  // Graph copies share their storage, so the captures below are O(1).
+  const graph::Graph g = make_graph(spec.graph);
 
   harness::TrialConfig config;
   config.trials = spec.trials;
@@ -378,7 +379,7 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
   config.on_checkpoint = hooks.on_checkpoint;
   config.stop_request = hooks.stop_request;
 
-  const harness::GraphFactory graphs = [g](support::Xoshiro256StarStar&) { return *g; };
+  const harness::GraphFactory graphs = [g](support::Xoshiro256StarStar&) { return g; };
   if (algorithm.local != nullptr) {
     config.local_sim = local_sim_config(aspec);
     return harness::run_local_trials(
@@ -389,7 +390,7 @@ harness::TrialStats run_sweep(const SweepSpec& spec, const SweepHooks& hooks) {
     config.scenario = [sspec]() { return make_scenario(sspec)->clone(); };
   }
   return harness::run_beep_trials(
-      graphs, [aspec, g, make = algorithm.beep] { return make(aspec, *g); }, config);
+      graphs, [aspec, g, make = algorithm.beep] { return make(aspec, g); }, config);
 }
 
 }  // namespace beepmis::cli

@@ -63,7 +63,7 @@ struct CsrHeader {
   }
 };
 
-/// RAII mmap of a whole BMCSR file; Graph copies share one via shared_ptr.
+/// RAII mmap of a whole BMCSR file: the storage owner of a mapped Graph.
 class CsrMapping {
  public:
   CsrMapping(void* data, std::size_t length) : data_(data), length_(length) {}
@@ -160,24 +160,6 @@ class AtomicFileWriter {
 
 }  // namespace
 
-/// Private-constructor seam: the only way to produce a memory-mapped Graph
-/// (befriended by Graph; see graph.hpp).
-class MappedGraphFactory {
- public:
-  static Graph make(std::shared_ptr<const CsrMapping> mapping, NodeId node_count,
-                    const std::uint32_t* offsets32, const std::uint64_t* offsets64,
-                    const NodeId* adjacency, std::uint64_t adjacency_count) {
-    Graph g;
-    g.node_count_ = node_count;
-    g.mapping_ = std::move(mapping);
-    g.map_offsets32_ = offsets32;
-    g.map_offsets64_ = offsets64;
-    g.map_adjacency_ = adjacency;
-    g.map_adjacency_count_ = adjacency_count;
-    return g;
-  }
-};
-
 void write_csr_file(const Graph& g, const std::string& path) {
   require_little_endian(path);
   const AdjacencyView view = g.view();
@@ -186,14 +168,10 @@ void write_csr_file(const Graph& g, const std::string& path) {
   out.write(header_bytes, kHeaderSize);  // placeholder; finalised in commit
 
   const std::uint64_t entries = static_cast<std::uint64_t>(view.node_count) + 1;
-  if (view.offsets32 != nullptr) {
-    out.write_payload(view.offsets32, entries * sizeof(std::uint32_t));
-  } else if (view.offsets64 != nullptr) {
+  if (view.wide()) {
     out.write_payload(view.offsets64, entries * sizeof(std::uint64_t));
   } else {
-    // Default-constructed (node-less, never-built) graph: one zero offset.
-    const std::uint32_t zero = 0;
-    out.write_payload(&zero, sizeof(zero));
+    out.write_payload(view.offsets32, entries * sizeof(std::uint32_t));
   }
   if (view.adjacency_count > 0) {
     out.write_payload(view.adjacency, view.adjacency_count * sizeof(NodeId));
@@ -425,25 +403,22 @@ Graph load_csr_file(const std::string& path) {
   }
 
   const auto n = static_cast<NodeId>(node_count);
-  const std::uint32_t* offsets32 = nullptr;
-  const std::uint64_t* offsets64 = nullptr;
+  AdjacencyView view;
+  view.node_count = n;
   if (wide) {
-    offsets64 = reinterpret_cast<const std::uint64_t*>(bytes + kHeaderSize);
+    view.offsets64 = reinterpret_cast<const std::uint64_t*>(bytes + kHeaderSize);
   } else {
-    offsets32 = reinterpret_cast<const std::uint32_t*>(bytes + kHeaderSize);
+    view.offsets32 = reinterpret_cast<const std::uint32_t*>(bytes + kHeaderSize);
   }
-  const auto* adjacency =
-      reinterpret_cast<const NodeId*>(bytes + kHeaderSize + offsets_bytes);
-  const auto off = [&](NodeId i) -> std::uint64_t {
-    return wide ? offsets64[i] : offsets32[i];
-  };
-  if (off(0) != 0) fail(path, "offsets[0] != 0");
+  view.adjacency = reinterpret_cast<const NodeId*>(bytes + kHeaderSize + offsets_bytes);
+  view.adjacency_count = adjacency_count;
+  if (view.offset(0) != 0) fail(path, "offsets[0] != 0");
   for (NodeId v = 0; v < n; ++v) {
-    if (off(v + 1) < off(v)) {
+    if (view.offset(v + 1) < view.offset(v)) {
       fail(path, "offsets are not monotone at node " + std::to_string(v));
     }
   }
-  if (off(n) != adjacency_count) {
+  if (view.offset(n) != adjacency_count) {
     fail(path, "offsets[n] != adjacency_count (inconsistent index)");
   }
 
@@ -456,24 +431,23 @@ Graph load_csr_file(const std::string& path) {
   // duplicate-free), in range, and loop-free — the simple-graph invariants
   // every consumer of Graph assumes.
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint64_t begin = off(v);
-    const std::uint64_t end = off(v + 1);
+    const std::uint64_t begin = view.offset(v);
+    const std::uint64_t end = view.offset(v + 1);
     for (std::uint64_t i = begin; i < end; ++i) {
-      const NodeId w = adjacency[i];
+      const NodeId w = view.adjacency[i];
       if (w >= n) {
         fail(path, "neighbour id " + std::to_string(w) + " of node " +
                        std::to_string(v) + " out of range");
       }
       if (w == v) fail(path, "self-loop at node " + std::to_string(v));
-      if (i > begin && adjacency[i - 1] >= w) {
+      if (i > begin && view.adjacency[i - 1] >= w) {
         fail(path, "neighbour list of node " + std::to_string(v) +
                        " is not sorted strictly ascending");
       }
     }
   }
 
-  return MappedGraphFactory::make(std::move(mapping), n, offsets32, offsets64, adjacency,
-                                  adjacency_count);
+  return Graph(view, std::move(mapping), /*memory_mapped=*/true);
 }
 
 bool is_csr_file(const std::string& path) {

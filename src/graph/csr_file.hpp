@@ -40,7 +40,7 @@ namespace beepmis::graph {
 inline constexpr unsigned char kCsrFileMagic[8] = {'B', 'M', 'C', 'S', 'R', 'G', 'R', 0};
 inline constexpr std::uint32_t kCsrFileVersion = 1;
 
-/// Serialises `g` (either backend, via Graph::view()) to `path` atomically.
+/// Serialises `g` (either tier, via Graph::view()) to `path` atomically.
 /// Throws std::runtime_error naming the path on any I/O failure.
 void write_csr_file(const Graph& g, const std::string& path);
 

@@ -7,31 +7,6 @@
 
 namespace beepmis::graph {
 
-AdjacencyView Graph::view() const noexcept {
-  AdjacencyView v;
-  v.node_count = node_count_;
-  if (mapping_ == nullptr) {
-    if (wide_offsets_.empty()) {
-      v.offsets32 = offsets_.data();
-    } else {
-      // The wide in-RAM offsets are std::size_t; the view (like the file
-      // format) speaks uint64.  Identical representation on every platform
-      // this library's mmap tier supports.
-      static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                    "the memory-tiered CSR layer requires a 64-bit size_t");
-      v.offsets64 = reinterpret_cast<const std::uint64_t*>(wide_offsets_.data());
-    }
-    v.adjacency = adjacency_.data();
-    v.adjacency_count = adjacency_.size();
-  } else {
-    v.offsets32 = map_offsets32_;
-    v.offsets64 = map_offsets64_;
-    v.adjacency = map_adjacency_;
-    v.adjacency_count = map_adjacency_count_;
-  }
-  return v;
-}
-
 std::size_t Graph::max_degree() const noexcept {
   std::size_t best = 0;
   for (NodeId v = 0; v < node_count(); ++v) best = std::max(best, degree(v));
@@ -75,6 +50,17 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v) {
   return *this;
 }
 
+namespace {
+
+/// The bytes behind a built Graph: exactly one offset vector is filled.
+struct CsrVectors {
+  std::vector<std::uint32_t> offsets32;
+  std::vector<std::uint64_t> offsets64;
+  std::vector<NodeId> adjacency;
+};
+
+}  // namespace
+
 Graph GraphBuilder::build() const {
   // Two stable counting-sort passes over the directed entries (each edge in
   // both orientations), O(n + m) in all: the first groups the near
@@ -85,7 +71,7 @@ Graph GraphBuilder::build() const {
   // are computed in 64 bits and narrowed below unless the adjacency array
   // is too large for 32.
   const std::size_t n = node_count_;
-  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::uint64_t> offsets(n + 1, 0);
   for (const Edge& e : edges_) {
     ++offsets[e.u + 1];
     ++offsets[e.v + 1];
@@ -93,27 +79,26 @@ Graph GraphBuilder::build() const {
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
   std::vector<NodeId> by_far(offsets[n]);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const Edge& e : edges_) {
     by_far[cursor[e.v]++] = e.u;
     by_far[cursor[e.u]++] = e.v;
   }
-  Graph g;
-  g.node_count_ = node_count_;
-  std::vector<NodeId>& adjacency = g.adjacency_;
+  auto csr = std::make_shared<CsrVectors>();
+  std::vector<NodeId>& adjacency = csr->adjacency;
   adjacency.resize(offsets[n]);
   cursor.assign(offsets.begin(), offsets.end() - 1);
   for (NodeId w = 0; w < node_count_; ++w) {
-    for (std::size_t i = offsets[w]; i < offsets[w + 1]; ++i) {
+    for (std::uint64_t i = offsets[w]; i < offsets[w + 1]; ++i) {
       adjacency[cursor[by_far[i]]++] = w;
     }
   }
   by_far = {};
 
   // Drop repeated entries in place, rewriting the offsets as we go.
-  std::size_t kept = 0;
+  std::uint64_t kept = 0;
   for (std::size_t v = 0, read = 0; v < n; ++v) {
-    const std::size_t end = offsets[v + 1];
+    const std::uint64_t end = offsets[v + 1];
     offsets[v] = kept;
     for (; read < end; ++read) {
       if (kept == offsets[v] || adjacency[kept - 1] != adjacency[read]) {
@@ -126,12 +111,19 @@ Graph GraphBuilder::build() const {
     adjacency.resize(kept);
     adjacency.shrink_to_fit();
   }
-  if (adjacency.size() <= std::numeric_limits<std::uint32_t>::max()) {
-    g.offsets_.assign(offsets.begin(), offsets.end());
+
+  AdjacencyView view;
+  view.node_count = node_count_;
+  if (kept <= std::numeric_limits<std::uint32_t>::max()) {
+    csr->offsets32.assign(offsets.begin(), offsets.end());
+    view.offsets32 = csr->offsets32.data();
   } else {
-    g.wide_offsets_ = std::move(offsets);
+    csr->offsets64 = std::move(offsets);
+    view.offsets64 = csr->offsets64.data();
   }
-  return g;
+  view.adjacency = adjacency.data();
+  view.adjacency_count = kept;
+  return Graph(view, std::move(csr), /*memory_mapped=*/false);
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {

@@ -34,13 +34,14 @@ struct Edge {
 class GraphBuilder;
 
 /// Backend-independent read view of a CSR adjacency structure: (n+1)
-/// offsets (narrow 32-bit or wide 64-bit — exactly one pointer set when
-/// node_count > 0) delimiting slices of one concatenated sorted-neighbour
-/// array.  This is the tier interface of the memory-tiered storage layer
-/// (src/graph/README.md): the on-disk CSR writer (csr_file.hpp) consumes a
-/// view, so it serialises an in-RAM and a memory-mapped graph identically,
-/// and differential tests compare tiers element-by-element through it.
-/// Non-owning — valid only while the Graph (or mapping) it came from lives.
+/// offsets (narrow 32-bit or wide 64-bit — exactly one pointer set)
+/// delimiting slices of one concatenated sorted-neighbour array.  This is
+/// the tier interface of the memory-tiered storage layer
+/// (src/graph/README.md): every Graph reads through one, whichever tier
+/// owns the bytes, so the on-disk CSR writer (csr_file.hpp) serialises an
+/// in-RAM and a memory-mapped graph identically, and differential tests
+/// compare tiers element-by-element through it.  Non-owning — valid only
+/// while a Graph sharing its storage lives.
 struct AdjacencyView {
   NodeId node_count = 0;
   const std::uint32_t* offsets32 = nullptr;  ///< (n+1) narrow offsets, or
@@ -54,73 +55,52 @@ struct AdjacencyView {
   }
   /// Sorted neighbours of `v`.  Precondition: v < node_count.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const noexcept {
-    return {adjacency + offset(v), adjacency + offset(v + 1)};
+    if (offsets32 != nullptr) [[likely]] {
+      return {adjacency + offsets32[v], adjacency + offsets32[v + 1]};
+    }
+    return {adjacency + offsets64[v], adjacency + offsets64[v + 1]};
   }
 };
 
 /// Immutable simple undirected graph.  Neighbour lists are sorted, so
 /// adjacency tests are O(log deg) and neighbour iteration is cache-friendly.
 ///
-/// CSR offsets are stored as 32-bit values (halving offset-array memory
-/// traffic on large graphs); a graph whose adjacency array exceeds the
-/// 32-bit range — more than ~2.1 billion undirected edges — transparently
-/// falls back to 64-bit offsets.  The fallback branch is perfectly
-/// predicted (one representation per graph), so the common case pays only
-/// the smaller cache footprint.
+/// A Graph is an AdjacencyView plus a shared handle that owns the bytes it
+/// points at.  CSR offsets are 32-bit (halving offset-array memory traffic
+/// on large graphs); a graph whose adjacency array exceeds the 32-bit
+/// range — more than ~2.1 billion undirected edges — uses 64-bit offsets
+/// instead.  The width branch is perfectly predicted (one representation
+/// per graph), so the common case pays only the smaller cache footprint.
 ///
-/// Storage tiers: besides the in-RAM vectors filled by GraphBuilder, a
-/// Graph can be backed by a read-only memory-mapped on-disk CSR file
-/// (graph/csr_file.hpp's load_csr_file).  The accessors branch once per
-/// call on the backend — one representation per graph, perfectly
-/// predicted — so every simulator runs unmodified against either tier.
-/// Copies of a mapped Graph share the mapping (shared_ptr keep-alive);
-/// the mapping is released when the last copy goes away.
+/// Storage tiers differ only in the owner: GraphBuilder's vectors, or a
+/// read-only memory-mapped on-disk CSR file (graph/csr_file.hpp's
+/// load_csr_file).  Every accessor reads the view, so every simulator runs
+/// unmodified against either tier.  Copies share the owner and cost O(1);
+/// the bytes are released when the last copy goes away.
 class Graph {
  public:
   Graph() = default;
 
-  [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
+  [[nodiscard]] NodeId node_count() const noexcept { return view_.node_count; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return adjacency_size() / 2; }
 
-  /// Length of the concatenated adjacency array (== 2m), whichever backend
-  /// holds it.
+  /// Length of the concatenated adjacency array (== 2m).
   [[nodiscard]] std::size_t adjacency_size() const noexcept {
-    return mapping_ == nullptr ? adjacency_.size()
-                               : static_cast<std::size_t>(map_adjacency_count_);
+    return static_cast<std::size_t>(view_.adjacency_count);
   }
 
   /// Whether this graph reads from a memory-mapped on-disk CSR file.
-  [[nodiscard]] bool memory_mapped() const noexcept { return mapping_ != nullptr; }
+  [[nodiscard]] bool memory_mapped() const noexcept { return memory_mapped_; }
 
   /// Sorted neighbours of `v`.  Precondition: v < node_count().
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const noexcept {
-    if (mapping_ == nullptr) [[likely]] {
-      if (wide_offsets_.empty()) [[likely]] {
-        return {adjacency_.data() + offsets_[v], adjacency_.data() + offsets_[v + 1]};
-      }
-      return {adjacency_.data() + wide_offsets_[v], adjacency_.data() + wide_offsets_[v + 1]};
-    }
-    if (map_offsets32_ != nullptr) {
-      return {map_adjacency_ + map_offsets32_[v], map_adjacency_ + map_offsets32_[v + 1]};
-    }
-    return {map_adjacency_ + map_offsets64_[v], map_adjacency_ + map_offsets64_[v + 1]};
+    return view_.neighbors(v);
   }
 
-  [[nodiscard]] std::size_t degree(NodeId v) const noexcept {
-    if (mapping_ == nullptr) [[likely]] {
-      if (wide_offsets_.empty()) [[likely]] {
-        return offsets_[v + 1] - offsets_[v];
-      }
-      return wide_offsets_[v + 1] - wide_offsets_[v];
-    }
-    if (map_offsets32_ != nullptr) {
-      return map_offsets32_[v + 1] - map_offsets32_[v];
-    }
-    return static_cast<std::size_t>(map_offsets64_[v + 1] - map_offsets64_[v]);
-  }
+  [[nodiscard]] std::size_t degree(NodeId v) const noexcept { return neighbors(v).size(); }
 
-  /// Uniform read view of the active backend (see AdjacencyView).
-  [[nodiscard]] AdjacencyView view() const noexcept;
+  /// The raw CSR arrays (see AdjacencyView).
+  [[nodiscard]] AdjacencyView view() const noexcept { return view_; }
 
   [[nodiscard]] std::size_t max_degree() const noexcept;
   [[nodiscard]] double mean_degree() const noexcept;
@@ -136,25 +116,18 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  friend class MappedGraphFactory;  ///< csr_file.cpp's loader seam
+  friend Graph load_csr_file(const std::string& path);
 
-  NodeId node_count_ = 0;
-  /// Size n+1; offsets_[v]..offsets_[v+1] delimit v's slice of adjacency_.
-  /// Empty iff wide_offsets_ is engaged (adjacency beyond 32-bit range) or
-  /// the graph is memory-mapped.
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::size_t> wide_offsets_;  ///< 64-bit fallback, usually empty
-  std::vector<NodeId> adjacency_;          ///< concatenated sorted neighbour lists
+  /// `view` points into `storage`, which keeps the bytes alive.
+  Graph(AdjacencyView view, std::shared_ptr<const void> storage, bool memory_mapped)
+      : view_(view), storage_(std::move(storage)), memory_mapped_(memory_mapped) {}
 
-  /// Memory-mapped backend: an opaque keep-alive of the mapped region (a
-  /// csr_file.cpp CsrMapping) plus raw pointers into it.  The pointers
-  /// never point into this object's own vectors, so default copy/move keep
-  /// them valid — copies just share the mapping.
-  std::shared_ptr<const void> mapping_;
-  const std::uint32_t* map_offsets32_ = nullptr;
-  const std::uint64_t* map_offsets64_ = nullptr;
-  const NodeId* map_adjacency_ = nullptr;
-  std::uint64_t map_adjacency_count_ = 0;
+  /// The one offset of a default (node-less) Graph.
+  static constexpr std::uint32_t kNoNodeOffsets[1] = {0};
+
+  AdjacencyView view_{.offsets32 = kNoNodeOffsets};
+  std::shared_ptr<const void> storage_;
+  bool memory_mapped_ = false;
 };
 
 /// Mutable edge accumulator that produces an immutable Graph.

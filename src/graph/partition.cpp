@@ -8,7 +8,7 @@ namespace beepmis::graph {
 Partition Partition::build(const Graph& g, std::uint32_t shards) {
   const NodeId n = g.node_count();
   Partition p;
-  p.graph_ = &g;
+  p.graph_ = g;
   const std::uint32_t k =
       std::max<std::uint32_t>(1, std::min<std::uint32_t>(shards, std::max<NodeId>(n, 1)));
 
@@ -67,7 +67,7 @@ Partition Partition::build(const Graph& g, std::uint32_t shards) {
 }
 
 void Partition::materialize_local_adjacency() {
-  const NodeId n = graph_->node_count();
+  const NodeId n = graph_.node_count();
   const std::uint32_t k = shard_count();
   local_off_.assign(k, {});
   local_adj_.assign(k, {});
@@ -86,7 +86,7 @@ void Partition::materialize_local_adjacency() {
       const std::uint32_t lo = slice_rel_[base];
       const std::uint32_t len = slice_rel_[base + 1] - lo;
       local_off_[s][u] = cursor;
-      const std::span<const NodeId> nbrs = graph_->neighbors(u);
+      const std::span<const NodeId> nbrs = graph_.neighbors(u);
       std::copy_n(nbrs.data() + lo, len, local_adj_[s].data() + cursor);
       cursor += len;
     }

@@ -36,8 +36,8 @@ class Partition {
   /// degree+1 weights are balanced by prefix splitting.  `shards` is
   /// clamped to [1, max(n, 1)]; trailing shards may be empty on tiny or
   /// degree-skewed graphs.  O(m + n·K) time, n·(K+1) uint32 of index
-  /// memory.  The partition stores a pointer to `g`; the caller keeps the
-  /// graph alive for the partition's lifetime.
+  /// memory.  The partition holds a copy of `g`, which shares its storage
+  /// (O(1)), so it stays valid after the caller's graph is gone.
   static Partition build(const Graph& g, std::uint32_t shards);
 
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
@@ -60,7 +60,7 @@ class Partition {
     const std::uint32_t lo = slice_rel_[static_cast<std::size_t>(u) * (k + 1) + s];
     const std::uint32_t hi = slice_rel_[static_cast<std::size_t>(u) * (k + 1) + s + 1];
     if (local_off_.empty() || local_off_[s].empty()) {
-      return graph_->neighbors(u).subspan(lo, hi - lo);
+      return graph_.neighbors(u).subspan(lo, hi - lo);
     }
     return {local_adj_[s].data() + local_off_[s][u], hi - lo};
   }
@@ -96,10 +96,10 @@ class Partition {
   /// Edges crossing a shard line (each counted once).
   [[nodiscard]] std::size_t cut_edges() const noexcept { return cut_edges_; }
 
-  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
+  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
 
  private:
-  const Graph* graph_ = nullptr;
+  Graph graph_;
   /// K+1 range bounds: shard s owns [bounds_[s], bounds_[s+1]).
   std::vector<NodeId> bounds_ = {0, 0};
   /// Per-node relative slice offsets into the node's adjacency list:

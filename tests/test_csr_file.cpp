@@ -102,9 +102,10 @@ TEST(CsrFile, RoundTripPreservesGraph) {
 }
 
 TEST(CsrFile, RoundTripEmptyAndEdgelessGraphs) {
-  for (const NodeId n : {NodeId{0}, NodeId{1}, NodeId{7}}) {
-    const Graph g = empty_graph(n);
-    const std::string path = tmp_path("edgeless_" + std::to_string(n) + ".bmcsr");
+  // A default Graph too: its view carries the one zero offset.
+  for (const Graph& g : {Graph{}, empty_graph(0), empty_graph(1), empty_graph(7)}) {
+    const std::string path =
+        tmp_path("edgeless_" + std::to_string(g.node_count()) + ".bmcsr");
     write_csr_file(g, path);
     const Graph loaded = load_csr_file(path);
     expect_same_graph(g, loaded);

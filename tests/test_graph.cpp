@@ -154,6 +154,34 @@ TEST(Graph, DescribeMentionsCounts) {
   EXPECT_NE(d.find("m=1"), std::string::npos);
 }
 
+TEST(Graph, CopiesShareStorageAndOutliveTheOriginal) {
+  auto rng = support::Xoshiro256StarStar(11);
+  GraphBuilder b(50);
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(50));
+    const auto v = static_cast<NodeId>(rng.below(50));
+    if (u != v) b.add_edge(u, v);
+  }
+  const Graph reference = b.build();
+
+  Graph copy;
+  {
+    const Graph original = b.build();
+    copy = original;  // shares the builder's vectors, must keep them alive
+    EXPECT_EQ(copy.view().adjacency, original.view().adjacency);
+    EXPECT_EQ(copy.view().offsets32, original.view().offsets32);
+  }
+  EXPECT_FALSE(copy.memory_mapped());
+  ASSERT_EQ(copy.node_count(), reference.node_count());
+  EXPECT_EQ(copy.edges(), reference.edges());
+  for (NodeId v = 0; v < copy.node_count(); ++v) {
+    const auto got = copy.neighbors(v);
+    const auto want = reference.neighbors(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << "node " << v;
+  }
+}
+
 TEST(Canonical, OrdersEndpoints) {
   EXPECT_EQ(canonical({5, 2}), (Edge{2, 5}));
   EXPECT_EQ(canonical({2, 5}), (Edge{2, 5}));

@@ -65,6 +65,25 @@ TEST(Partition, SlicesPartitionEveryAdjacencyList) {
   }
 }
 
+TEST(Partition, OutlivesTheGraphItWasBuiltFrom) {
+  const graph::Graph reference = test_graph(90, 6.0, 9);
+  graph::Partition p;
+  {
+    const graph::Graph g = test_graph(90, 6.0, 9);
+    p = graph::Partition::build(g, 4);
+  }
+  ASSERT_EQ(p.graph().node_count(), reference.node_count());
+  for (graph::NodeId u = 0; u < reference.node_count(); ++u) {
+    std::vector<graph::NodeId> rebuilt;
+    for (std::uint32_t s = 0; s < p.shard_count(); ++s) {
+      for (const graph::NodeId w : p.neighbors_in(u, s)) rebuilt.push_back(w);
+    }
+    const auto nbrs = reference.neighbors(u);
+    ASSERT_EQ(rebuilt.size(), nbrs.size()) << "node " << u;
+    EXPECT_TRUE(std::equal(rebuilt.begin(), rebuilt.end(), nbrs.begin())) << "node " << u;
+  }
+}
+
 TEST(Partition, ShardOfMatchesRanges) {
   const graph::Graph g = test_graph(60, 4.0, 3);
   const graph::Partition p = graph::Partition::build(g, 7);
